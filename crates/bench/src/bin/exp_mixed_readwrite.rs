@@ -1,9 +1,9 @@
-//! Mixed read/write throughput: the versioned-snapshot engine's
-//! lock-free read path (`rps_core::VersionedEngine`) against the
-//! `RwLock`-based `SharedEngine`, measured as aggregate reader
-//! throughput while a writer publishes point updates paced at 0%, 1%
-//! and 10% of reader ops. Emitted as the `exp_mixed_readwrite` section
-//! of `BENCH_THROUGHPUT.json` (see `rps_bench::throughput`).
+//! Mixed read/write throughput: the versioned-snapshot engine's read
+//! path (`rps_core::VersionedEngine`, one `Arc` clone per batch)
+//! against the `RwLock`-based `SharedEngine`, measured as aggregate
+//! reader throughput while a writer publishes point updates paced at
+//! 0%, 1% and 10% of reader ops. Emitted as the `exp_mixed_readwrite`
+//! section of `BENCH_THROUGHPUT.json` (see `rps_bench::throughput`).
 //!
 //! ```text
 //! cargo run --release -p rps-bench --bin exp_mixed_readwrite            # full
@@ -13,10 +13,13 @@
 //! Pacing: readers bump a shared op counter after every batch; the
 //! writer applies updates only while `updates < reader_ops × rate /
 //! 100`, so the write load tracks the measured read load instead of
-//! free-running. After every run the engine is flushed and its total is
-//! checked against the initial cube total plus the updates applied
-//! (all deltas are +1) — a throughput number for wrong answers would be
-//! worse than none.
+//! free-running. After every run the engine's total is checked against
+//! the initial cube total plus the updates applied (all deltas are +1)
+//! — a throughput number for wrong answers would be worse than none.
+//!
+//! The `*_updates_w{rate}` rows time each writer call (apply plus
+//! publish or unlock) and report the mean ns per update applied; a run
+//! that applies no updates (w0) emits no writer row.
 //!
 //! `allocs_per_op` is reported for the single-threaded serial baseline
 //! row only; the multi-threaded rows report 0 (the counting allocator
@@ -57,17 +60,18 @@ fn update_coords(dims: &[usize], i: u64) -> Vec<usize> {
         .collect()
 }
 
-/// One paced run: `spawn_readers` drives the engine-specific read loop,
-/// `apply_update` the engine-specific write. Returns (reader
-/// measurement, updates applied, elapsed reader ns).
+/// One paced run: `read_batch` drives the engine-specific read loop,
+/// `apply_update` the engine-specific write. Returns the reader
+/// measurement and the writer's (one op per update applied).
 fn run_paced(
     cfg: &Config,
     rate: u64,
     read_batch: impl Fn(usize, &[Region]) + Sync,
     apply_update: impl Fn(&[usize]),
-) -> (Measurement, u64) {
+) -> (Measurement, Measurement) {
     let reader_ops = AtomicU64::new(0);
     let mut updates_applied = 0u64;
+    let mut update_ns = 0u128;
     let total_ops = cfg.readers * cfg.batches_per_reader * cfg.batch_len;
 
     let start = Instant::now();
@@ -95,7 +99,10 @@ fn run_paced(
             let ops = reader_ops.load(Ordering::Relaxed).min(total_ops as u64);
             let target = ops * rate / 100;
             if updates_applied < target {
-                apply_update(&update_coords(&cfg.dims, updates_applied));
+                let coords = update_coords(&cfg.dims, updates_applied);
+                let t0 = Instant::now();
+                apply_update(&coords);
+                update_ns += t0.elapsed().as_nanos();
                 updates_applied += 1;
             } else if ops >= total_ops as u64 {
                 break;
@@ -112,7 +119,11 @@ fn run_paced(
             ns_per_op: elapsed.as_nanos() as f64 / total_ops as f64,
             allocs_per_op: 0.0,
         },
-        updates_applied,
+        Measurement {
+            ops: usize::try_from(updates_applied).expect("fits"),
+            ns_per_op: update_ns as f64 / updates_applied.max(1) as f64,
+            allocs_per_op: 0.0,
+        },
     )
 }
 
@@ -141,11 +152,20 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
     results.push(m);
     result_names.push("query_many_serial_baseline".to_string());
 
+    let mut push_paced = |engine: &str, rate: u64, readers: Measurement, writer: Measurement| {
+        results.push(readers);
+        result_names.push(format!("{engine}_readers_w{rate}"));
+        if writer.ops > 0 {
+            results.push(writer);
+            result_names.push(format!("{engine}_updates_w{rate}"));
+        }
+    };
+
     for &rate in RATES {
-        // Versioned engine: readers pin a snapshot per batch, the
-        // writer publishes a version per update (threshold 1).
+        // Versioned engine: readers take a snapshot per batch, the
+        // writer publishes a version per update.
         let v = VersionedEngine::new(RpsEngine::from_cube(&cube));
-        let (m, updates) = run_paced(
+        let (readers, writer) = run_paced(
             cfg,
             rate,
             |_, regions| {
@@ -155,24 +175,16 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
             },
             |c| v.update(c, 1).expect("in bounds"),
         );
-        v.flush();
         assert_eq!(
             v.total(),
-            initial_total + i64::try_from(updates).expect("fits"),
+            initial_total + i64::try_from(writer.ops).expect("fits"),
             "versioned total diverged after paced run"
         );
-        results.push(m);
-        result_names.push(format!("versioned_readers_w{rate}"));
-        results.push(Measurement {
-            ops: usize::try_from(updates).expect("fits"),
-            ns_per_op: 0.0,
-            allocs_per_op: 0.0,
-        });
-        result_names.push(format!("versioned_updates_w{rate}"));
+        push_paced("versioned", rate, readers, writer);
 
         // RwLock baseline: readers serialize against the writer.
         let shared = SharedEngine::new(RpsEngine::from_cube(&cube));
-        let (m, updates) = run_paced(
+        let (readers, writer) = run_paced(
             cfg,
             rate,
             |_, regions| {
@@ -183,17 +195,10 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
         );
         assert_eq!(
             shared.total(),
-            initial_total + i64::try_from(updates).expect("fits"),
+            initial_total + i64::try_from(writer.ops).expect("fits"),
             "shared total diverged after paced run"
         );
-        results.push(m);
-        result_names.push(format!("shared_readers_w{rate}"));
-        results.push(Measurement {
-            ops: usize::try_from(updates).expect("fits"),
-            ns_per_op: 0.0,
-            allocs_per_op: 0.0,
-        });
-        result_names.push(format!("shared_updates_w{rate}"));
+        push_paced("shared", rate, readers, writer);
     }
 
     let box_size = RpsEngine::from_cube(&cube).grid().box_size().to_vec();
@@ -257,7 +262,10 @@ fn main() {
         println!("scenario {} dims {:?} k {:?}", s.name, s.dims, s.box_size);
         for (m, n) in s.results.iter().zip(&s.result_names) {
             if n.contains("updates") {
-                println!("  {n:<28} {:>10} updates applied", m.ops);
+                println!(
+                    "  {n:<28} {:>10.1} ns/update ({} updates applied)",
+                    m.ns_per_op, m.ops
+                );
             } else {
                 println!(
                     "  {n:<28} {:>10.1} ns/op  {:>12.0} ops/s  ({:.4} allocs/op)",

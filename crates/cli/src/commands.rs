@@ -121,7 +121,7 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \x20 bench    [--dims 256x256] [--ops N] [--seed N] [--parallel N]\n\
          \x20     compare all methods on a mixed workload (cells touched);\n\
          \x20     --parallel N also times the query batch through the sharded\n\
-         \x20     N-thread front-end (on a lock-free versioned snapshot)\n\
+         \x20     N-thread front-end (on one versioned snapshot)\n\
          \x20     against the serial path\n\
          \x20 rollup   --file FILE --dim D --bucket B [--range LO:HI]\n\
          \x20     GROUP BY along dimension D in buckets of B (engine snapshots)\n\
@@ -931,9 +931,9 @@ fn bench(args: &Args, out: &mut dyn Write) -> CmdResult {
         let t0 = std::time::Instant::now();
         let serial = engine.query_many(&regions)?;
         let serial_ns = t0.elapsed().as_nanos();
-        // The sharded batch runs through the versioned engine's
-        // lock-free read path: the snapshot is pinned once and the whole
-        // batch answers from it without ever blocking a writer (see
+        // The sharded batch runs through the versioned engine's read
+        // path: the snapshot is taken once and the whole batch answers
+        // from it without ever blocking a writer (see
         // docs/PERFORMANCE.md §8).
         let versioned = rps_core::VersionedEngine::new(RpsEngine::from_cube(&cube));
         let snapshot = versioned.snapshot();

@@ -10,11 +10,11 @@
 //! update-heavy phases. `exp_batch_updates` measures the trade-off.
 //!
 //! The versioned engine offers the same batching lever on its write
-//! path: [`crate::VersionedEngine::with_publish_threshold`] buffers
-//! accepted updates inside the writer and publishes them as one
-//! copy-on-write version, amortizing the per-publish slab clones the
-//! way this combinator amortizes the wrapped engine's per-update cost —
-//! but with snapshot-atomic visibility instead of read-time merging.
+//! path: [`crate::VersionedEngine::apply_batch`] applies a caller's
+//! batch and publishes it as one copy-on-write version, amortizing the
+//! per-publish slab clones the way this combinator amortizes the
+//! wrapped engine's per-update cost — but with snapshot-atomic
+//! visibility instead of read-time merging.
 
 use std::collections::HashMap;
 

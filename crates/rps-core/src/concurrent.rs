@@ -51,10 +51,10 @@ struct Shared<E> {
     // engine's page-pool RefCell (`DiskRpsEngine::pool` in the storage
     // crate) may only be borrowed while it is held. In the versioned
     // engine (`crate::versioned`), the writer mutex is the outermost
-    // guard and publication-ring slot locks are only taken beneath it;
-    // reader pins take a slot lock alone, never the writer mutex.
+    // guard and the `current` version lock is only write-locked beneath
+    // it; snapshots read-lock `current` alone, never the writer mutex.
     // lock-order: engine < pool
-    // lock-order: writer < slot
+    // lock-order: writer < current
     engine: RwLock<E>,
     queries: AtomicU64,
     updates: AtomicU64,

@@ -78,4 +78,4 @@ pub use prefix::PrefixSumEngine;
 pub use rps::{BoxGrid, Overlay, RpsEngine};
 pub use stats::{CostStats, StatsCell};
 pub use value::{GroupValue, SumCount};
-pub use versioned::{PinnedSnapshot, ReaderHandle, Version, VersionedEngine};
+pub use versioned::{Version, VersionedEngine};

@@ -15,7 +15,7 @@
 
 use std::sync::OnceLock;
 
-use rps_obs::{registry, Counter, Gauge, Histogram};
+use rps_obs::{registry, Counter, Histogram};
 
 /// Which engine implementation emitted an operation — the `engine`
 /// label on the `rps_engine_*` metric families.
@@ -98,10 +98,6 @@ pub struct SnapshotMetrics {
     /// Box granules (overlay or RP) cloned copy-on-write because a
     /// published version still referenced them.
     pub cow_boxes: Counter,
-    /// Reader handles currently registered in an epoch slot.
-    pub readers: Gauge,
-    /// Readers currently holding a pinned snapshot.
-    pub pinned_readers: Gauge,
 }
 
 static RPS: EngineMetrics = EngineMetrics::new();
@@ -122,8 +118,6 @@ static CORE: CoreMetrics = CoreMetrics {
 static SNAPSHOT: SnapshotMetrics = SnapshotMetrics {
     versions: Counter::new(),
     cow_boxes: Counter::new(),
-    readers: Gauge::new(),
-    pinned_readers: Gauge::new(),
 };
 
 fn register_kind(m: &'static EngineMetrics, labels: &'static [(&'static str, &'static str)]) {
@@ -278,22 +272,6 @@ fn register_all() {
         "rps-core",
         &[],
         &SNAPSHOT.cow_boxes,
-    );
-    reg.gauge(
-        "rps_snapshot_readers",
-        "Reader handles currently registered with a versioned engine",
-        "readers",
-        "rps-core",
-        &[],
-        &SNAPSHOT.readers,
-    );
-    reg.gauge(
-        "rps_snapshot_pinned_readers",
-        "Readers currently holding a pinned versioned snapshot",
-        "readers",
-        "rps-core",
-        &[],
-        &SNAPSHOT.pinned_readers,
     );
 }
 

@@ -1,48 +1,34 @@
-//! Versioned-snapshot (MVCC-lite) engine: a lock-free read path for the
-//! paper's read-heavy OLAP deployment.
+//! Versioned-snapshot (MVCC-lite) engine: a read path that never waits
+//! for the writer's copy-on-write work, for the paper's read-heavy OLAP
+//! deployment.
 //!
 //! [`crate::SharedEngine`] serializes every reader against the writer
 //! with one `RwLock`; a single update stalls a whole
-//! `query_many_parallel` batch. [`VersionedEngine`] removes the reader
-//! side of that lock entirely:
+//! `query_many_parallel` batch. [`VersionedEngine`] takes the update
+//! work off the read path:
 //!
 //! * The **writer** owns the RPS structures chunked into per-box-row
-//!   *slabs* (`Arc<Vec<T>>`), applies update batches copy-on-write —
+//!   *slabs* (`Arc<Vec<T>>`), applies each write call copy-on-write —
 //!   the RPS box partition is the natural granule, so only the box rows
 //!   an update's RP cascade and overlay walk touch are cloned — and
-//!   publishes each batch as a new immutable [`Version`] into a small
-//!   ring of publication slots.
-//! * **Readers** pin an epoch ([`ReaderHandle::pin`]), run
+//!   publishes the result as one new immutable [`Version`].
+//! * **Readers** take a [`VersionedEngine::snapshot`] and run
 //!   [`Version::query`] / [`Version::query_many`] /
-//!   [`Version::query_many_parallel`] against their pinned version
-//!   without ever taking the write lock, and unpin on drop. A pinned
-//!   version is never reclaimed from under a reader.
+//!   [`Version::query_many_parallel`] against it. A held snapshot never
+//!   changes and is never freed under its reader.
 //!
-//! # Publication protocol (all safe Rust)
+//! # Publication
 //!
-//! The crate forbids `unsafe`, so the classic `AtomicPtr` arc-swap is
-//! built instead from a `current` version counter, a fixed ring of
-//! `RwLock<Option<Arc<Version>>>` slots (slot `v % RING` holds version
-//! `v`), and one atomic epoch slot per registered reader:
-//!
-//! * **Publish** (writer, under the `writer` mutex): store the new
-//!   `Arc<Version>` into its ring slot, then `current.store(v,
-//!   SeqCst)`, then scan reader epochs and eagerly clear ring slots no
-//!   pinned reader can still need.
-//! * **Pin** (reader, lock-free w.r.t. the writer): load `current → v`,
-//!   announce `epochs[i] = v` (SeqCst), then *revalidate* `current ==
-//!   v`. If revalidation passes, SeqCst ordering gives the Dekker-style
-//!   guarantee that the writer's subsequent reclaim scans observe the
-//!   announcement, so slot `v` survives until unpin; the reader then
-//!   clones the `Arc` out of the slot (checking the stored version
-//!   number to defeat ring wrap-around) and is done with shared state.
-//!
-//! `Arc` reference counts are the memory-safety backstop throughout:
-//! the epoch protocol only governs how *eagerly* ring slots are
-//! recycled, so every failure mode degrades to "retry the pin" or
-//! "reclaim later", never to a dangling read. Interleavings are
-//! exercised by `tests/loom_versioned_engine.rs` and the whole module
-//! runs under TSan in CI (`scripts/tsan.sh`).
+//! The current version sits behind one `RwLock<Arc<Version>>`. A
+//! snapshot clones the `Arc` under the read lock; a publish swaps the
+//! new `Arc` in under the write lock, while the writer holds its own
+//! mutex. Both critical sections are a pointer copy: the copy-on-write
+//! apply runs before the swap, and the retired version is dropped after
+//! the lock is released, so a reader never waits for a slab copy or
+//! free. `Arc` reference counts free a retired version once its last
+//! snapshot is dropped. Interleavings are exercised by
+//! `tests/loom_versioned_engine.rs` and the module runs under TSan in CI
+//! (`scripts/tsan.sh`).
 
 use crate::sync_compat::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 
@@ -56,29 +42,6 @@ use crate::rps::{
 };
 use crate::value::GroupValue;
 
-/// Publication-ring capacity. A reader that loads `current` can fall at
-/// most `RING − 1` publishes behind before its validated pin loop
-/// retries against a newer version; history beyond the ring is only
-/// reachable through `Arc`s readers already hold.
-const RING: usize = 8;
-
-/// Epoch slots available to [`VersionedEngine::reader`] handles.
-/// Registration past this count degrades gracefully: the handle still
-/// pins safely (the `Arc` it clones keeps its version alive), it just
-/// no longer holds back eager ring-slot reclamation.
-const MAX_READERS: usize = 64;
-
-/// Epoch-slot sentinel: the slot is unassigned.
-const FREE: u64 = u64::MAX;
-/// Epoch-slot sentinel: a reader owns the slot but holds no pin.
-const IDLE: u64 = u64::MAX - 1;
-
-/// The ring slot a version number is published into.
-fn ring_slot(v: u64) -> usize {
-    // lint:allow(L4): RING is a small constant; the remainder fits usize
-    (v % (RING as u64)) as usize
-}
-
 /// The RPS structures of one immutable version, chunked into per-box-row
 /// copy-on-write slabs.
 ///
@@ -87,7 +50,7 @@ fn ring_slot(v: u64) -> usize {
 /// slab `r` of the RP array holds cube rows `r·k₀ .. (r+1)·k₀`. The
 /// writer shares untouched slabs between consecutive versions by `Arc`
 /// clone, so a publish clones only the box rows its batch wrote.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct VersionData<T> {
     grid: BoxGrid,
     shape: Shape,
@@ -288,64 +251,62 @@ fn corner_capacity(regions: usize, d: usize) -> usize {
     )
 }
 
-/// One accepted-but-unpublished write: a point delta or a whole-rectangle
-/// delta. Both publish through the same copy-on-write batch path, so a
-/// version boundary never splits a rectangle.
-#[derive(Debug, Clone)]
-enum PendingOp<T> {
-    Point(Vec<usize>, T),
-    Range(Region, T),
+/// Cells written, box granules cloned and lane-kernel runs of one
+/// publish.
+#[derive(Debug, Default)]
+struct WriteCost {
+    writes: u64,
+    cow_boxes: u64,
+    lane_runs: u64,
 }
 
-/// The writer's private, mutable twin of [`VersionData`]: same slabs,
-/// plus the pending batch and reusable scratch.
+/// `slab`, made writable: cloned first (counted as `row_boxes` copied
+/// box granules) while a published version still shares it.
+fn cow_slab<'s, T: Clone>(
+    slab: &'s mut Arc<Vec<T>>,
+    row_boxes: u64,
+    cost: &mut WriteCost,
+) -> &'s mut Vec<T> {
+    if Arc::strong_count(slab) > 1 {
+        cost.cow_boxes += row_boxes;
+    }
+    Arc::make_mut(slab)
+}
+
+/// The writer's private, mutable twin of the published [`VersionData`],
+/// plus reusable scratch.
 #[derive(Debug)]
 struct WriterState<T> {
-    grid: BoxGrid,
-    shape: Shape,
-    box_offsets: Arc<Vec<usize>>,
-    ov_base: Arc<Vec<usize>>,
-    ov_slabs: Vec<Arc<Vec<T>>>,
-    rp_slabs: Vec<Arc<Vec<T>>>,
-    k0: usize,
-    stride0: usize,
+    data: VersionData<T>,
     scratch: KernelScratch,
-    /// Updates accepted but not yet published.
-    pending: Vec<PendingOp<T>>,
-    /// Publish after this many pending updates (≥ 1; default 1 =
-    /// publish every update immediately).
-    publish_threshold: usize,
-    /// Updates folded into the *published* state so far.
+    /// Updates folded into the published state so far.
     total_updates: u64,
     /// Number of the most recently published version.
     version: u64,
 }
 
 impl<T: GroupValue> WriterState<T> {
-    /// An immutable view of the current slabs (cheap: `Arc` clones).
-    fn version_data(&self) -> VersionData<T> {
-        VersionData {
-            grid: self.grid.clone(),
-            shape: self.shape.clone(),
-            box_offsets: Arc::clone(&self.box_offsets),
-            ov_base: Arc::clone(&self.ov_base),
-            ov_slabs: self.ov_slabs.iter().map(Arc::clone).collect(),
-            rp_slabs: self.rp_slabs.iter().map(Arc::clone).collect(),
-            k0: self.k0,
-            stride0: self.stride0,
-        }
+    /// Box granules in one box-row slab: the cost of one slab clone.
+    fn row_boxes(&self) -> u64 {
+        u64::try_from(self.data.grid.grid_shape().strides()[0]).unwrap_or(u64::MAX)
     }
 
-    /// Applies a batch to the slabs copy-on-write. Returns (cells
-    /// written, box granules cloned, lane-kernel runs).
+    /// Adds `delta` at cell `c`, copy-on-write.
     ///
     /// An update at `c` is confined to box rows `b₀ = c₀/k₀ ..` — the RP
     /// cascade stays inside `c`'s own box, and the overlay orthant walk
     /// only ever touches boxes at `b₀` or below (see
     /// [`crate::rps::apply_update_with`]) — so earlier rows keep sharing
     /// their slabs with published versions untouched.
-    fn apply_batch(&mut self, batch: &[PendingOp<T>]) -> (u64, u64, u64) {
+    fn apply_point(&mut self, c: &[usize], delta: &T, cost: &mut WriteCost) {
+        if delta.is_zero() {
+            return;
+        }
+        let row_boxes = self.row_boxes();
         let WriterState {
+            data, scratch: ks, ..
+        } = self;
+        let VersionData {
             grid,
             shape,
             box_offsets,
@@ -354,270 +315,159 @@ impl<T: GroupValue> WriterState<T> {
             rp_slabs,
             k0,
             stride0,
-            scratch: ks,
-            ..
+        } = data;
+        let b0 = c[0] / *k0;
+        ks.ensure(c.len());
+        // RP cascade, run-structured through the lane kernel — the same
+        // replay as `apply_updates_parallel`, against slab b₀.
+        grid.box_hi_of_cell_into(c, &mut ks.hi);
+        let cells = cow_slab(&mut rp_slabs[b0], row_boxes, cost);
+        let base = b0 * *k0 * *stride0;
+        shape.for_each_contiguous_run_in_bounds(c, &ks.hi, &mut ks.cur, |start, len| {
+            let lo = start - base;
+            kernels::add_delta_run(&mut cells[lo..lo + len], delta);
+            cost.writes += u64::try_from(len).unwrap_or(u64::MAX);
+            cost.lane_runs += u64::from(kernels::is_lane_run(len));
+        });
+        // Overlay orthant walk, clipped to one box-row slab at a time.
+        // Rows before b₀ are never touched (the walk's row clip would
+        // return 0 writes), so they are not even cloned.
+        for (r, slab) in (b0..).zip(&mut ov_slabs[b0..]) {
+            let cells = cow_slab(slab, row_boxes, cost);
+            cost.writes +=
+                overlay_update_walk(grid, box_offsets, cells, ov_base[r], r, r + 1, c, delta, ks);
+        }
+    }
+
+    /// Adds `delta` to every cell of `region`, copy-on-write, confined
+    /// to box rows `box(lo)₀ ..` like [`Self::apply_point`].
+    fn apply_range(&mut self, region: &Region, delta: &T, cost: &mut WriteCost) {
+        if delta.is_zero() {
+            return;
+        }
+        let row_boxes = self.row_boxes();
+        let WriterState {
+            data, scratch: ks, ..
         } = self;
-        let (k0, stride0) = (*k0, *stride0);
-        let rows = ov_slabs.len();
-        let row_boxes = u64::try_from(grid.grid_shape().strides()[0]).unwrap_or(u64::MAX);
-        let mut writes = 0u64;
-        let mut cow_boxes = 0u64;
-        let mut lane_runs = 0u64;
-        for op in batch {
-            match op {
-                PendingOp::Point(c, delta) => {
-                    if delta.is_zero() {
-                        continue;
+        let VersionData {
+            grid,
+            box_offsets,
+            ov_base,
+            ov_slabs,
+            rp_slabs,
+            k0,
+            stride0,
+            ..
+        } = data;
+        let (lo, hi) = (region.lo(), region.hi());
+        let d = lo.len();
+        ks.ensure(d);
+        // RP half: per affected box-row slab, sweep the boxes of the
+        // [box(lo), box(hi)] index rectangle with that dim-0 index — the
+        // slab-clipped form of the serial engine's box cascade.
+        grid.box_index_into(lo, &mut ks.b);
+        grid.box_index_into(hi, &mut ks.offsets);
+        let b0 = ks.b[0];
+        for (r, slab) in (b0..).zip(&mut rp_slabs[b0..=ks.offsets[0]]) {
+            let cells = cow_slab(slab, row_boxes, cost);
+            let base = r * *k0 * *stride0;
+            let KernelScratch {
+                b,
+                offsets,
+                alpha,
+                lo: rlo,
+                hi: box_hi,
+                cur,
+                e,
+                ..
+            } = &mut *ks;
+            cur.clear();
+            cur.extend_from_slice(b);
+            cur[0] = r;
+            'boxes: loop {
+                cost.writes +=
+                    rp_range_box(grid, cells, base, cur, lo, hi, delta, alpha, rlo, box_hi, e);
+                let mut dim = d;
+                loop {
+                    if dim == 1 {
+                        break 'boxes; // dim 0 is pinned to this slab
                     }
-                    let b0 = c[0] / k0;
-                    ks.ensure(c.len());
-                    // RP cascade, run-structured through the lane kernel —
-                    // the same replay as `apply_updates_parallel`, against
-                    // slab b₀.
-                    grid.box_hi_of_cell_into(c, &mut ks.hi);
-                    {
-                        let slab = &mut rp_slabs[b0];
-                        if Arc::strong_count(slab) > 1 {
-                            cow_boxes += row_boxes;
-                        }
-                        let cells = Arc::make_mut(slab);
-                        let base = b0 * k0 * stride0;
-                        shape.for_each_contiguous_run_in_bounds(
-                            c,
-                            &ks.hi,
-                            &mut ks.cur,
-                            |start, len| {
-                                let lo = start - base;
-                                kernels::add_delta_run(&mut cells[lo..lo + len], delta);
-                                writes += u64::try_from(len).unwrap_or(u64::MAX);
-                                lane_runs += u64::from(kernels::is_lane_run(len));
-                            },
-                        );
+                    dim -= 1;
+                    if cur[dim] < offsets[dim] {
+                        cur[dim] += 1;
+                        continue 'boxes;
                     }
-                    // Overlay orthant walk, clipped to one box-row slab at
-                    // a time. Rows before b₀ are never touched (the walk's
-                    // row clip would return 0 writes), so they are not
-                    // even cloned.
-                    for r in b0..rows {
-                        let slab = &mut ov_slabs[r];
-                        if Arc::strong_count(slab) > 1 {
-                            cow_boxes += row_boxes;
-                        }
-                        let cells = Arc::make_mut(slab);
-                        writes += overlay_update_walk(
-                            grid,
-                            box_offsets,
-                            cells,
-                            ov_base[r],
-                            r,
-                            r + 1,
-                            c,
-                            delta,
-                            ks,
-                        );
-                    }
-                }
-                PendingOp::Range(region, delta) => {
-                    if delta.is_zero() {
-                        continue;
-                    }
-                    let (lo, hi) = (region.lo(), region.hi());
-                    let d = lo.len();
-                    ks.ensure(d);
-                    // RP half: per affected box-row slab, sweep the boxes
-                    // of the [box(lo), box(hi)] index rectangle with that
-                    // dim-0 index — the slab-clipped form of the serial
-                    // engine's box cascade.
-                    grid.box_index_into(lo, &mut ks.b);
-                    grid.box_index_into(hi, &mut ks.offsets);
-                    let b0 = ks.b[0];
-                    for r in b0..=ks.offsets[0] {
-                        let slab = &mut rp_slabs[r];
-                        if Arc::strong_count(slab) > 1 {
-                            cow_boxes += row_boxes;
-                        }
-                        let cells = Arc::make_mut(slab);
-                        let base = r * k0 * stride0;
-                        let KernelScratch {
-                            b,
-                            offsets,
-                            alpha,
-                            lo: rlo,
-                            hi: box_hi,
-                            cur,
-                            e,
-                            ..
-                        } = &mut *ks;
-                        cur.clear();
-                        cur.extend_from_slice(b);
-                        cur[0] = r;
-                        'boxes: loop {
-                            writes += rp_range_box(
-                                grid, cells, base, cur, lo, hi, delta, alpha, rlo, box_hi, e,
-                            );
-                            let mut dim = d;
-                            loop {
-                                if dim == 1 {
-                                    break 'boxes; // dim 0 is pinned to this slab
-                                }
-                                dim -= 1;
-                                if cur[dim] < offsets[dim] {
-                                    cur[dim] += 1;
-                                    continue 'boxes;
-                                }
-                                cur[dim] = b[dim];
-                            }
-                        }
-                    }
-                    // Overlay half: every box row of lo's upper orthant,
-                    // one slab-clipped walk per row.
-                    for r in b0..rows {
-                        let slab = &mut ov_slabs[r];
-                        if Arc::strong_count(slab) > 1 {
-                            cow_boxes += row_boxes;
-                        }
-                        let cells = Arc::make_mut(slab);
-                        writes += overlay_range_walk(
-                            grid,
-                            box_offsets,
-                            cells,
-                            ov_base[r],
-                            r,
-                            r + 1,
-                            lo,
-                            hi,
-                            delta,
-                            ks,
-                        );
-                    }
+                    cur[dim] = b[dim];
                 }
             }
         }
-        (writes, cow_boxes, lane_runs)
+        // Overlay half: every box row of lo's upper orthant, one
+        // slab-clipped walk per row.
+        for (r, slab) in (b0..).zip(&mut ov_slabs[b0..]) {
+            let cells = cow_slab(slab, row_boxes, cost);
+            cost.writes += overlay_range_walk(
+                grid,
+                box_offsets,
+                cells,
+                ov_base[r],
+                r,
+                r + 1,
+                lo,
+                hi,
+                delta,
+                ks,
+            );
+        }
     }
 }
 
 /// Shared state behind every [`VersionedEngine`] handle.
 #[derive(Debug)]
 struct VersionedShared<T> {
-    /// Writer-side slabs and pending batch. Always the outermost guard:
-    /// ring-slot locks are only acquired beneath it (publish/reclaim)
-    /// or on their own (reader pins). The sanctioned nesting
-    /// (writer before slot) is declared next to `SharedEngine`'s in
-    /// `concurrent.rs`.
+    /// Writer-side slabs. Always the outermost guard: `current` is only
+    /// write-locked beneath it. The sanctioned nesting (writer before
+    /// current) is declared next to `SharedEngine`'s in `concurrent.rs`.
     writer: Mutex<WriterState<T>>,
-    /// Number of the most recently published version. Readers pin
-    /// against this; the writer stores it *after* filling the ring slot.
-    current: AtomicU64,
-    /// Publication ring: slot `v % RING` holds version `v` until it is
-    /// overwritten by version `v + RING` or eagerly reclaimed.
-    slots: [RwLock<Option<Arc<Version<T>>>>; RING],
-    /// Reader epoch slots: [`FREE`], [`IDLE`], or the pinned version.
-    epochs: [AtomicU64; MAX_READERS],
-    /// Cube shape (immutable; for lock-free validation).
+    /// The most recently published version. Readers clone the `Arc`
+    /// under the read lock; the writer swaps it under the write lock.
+    current: RwLock<Arc<Version<T>>>,
+    /// Cube shape (immutable; validates without taking a lock).
     shape: Shape,
     queries: AtomicU64,
-    updates: AtomicU64,
     cell_writes: AtomicU64,
 }
 
 impl<T: GroupValue> VersionedShared<T> {
-    /// The validated pin loop (see the module docs for the ordering
-    /// argument). With `epoch_slot`, the version is additionally
-    /// protected from eager reclamation until the slot is reset.
-    fn pin_current(&self, epoch_slot: Option<usize>) -> Arc<Version<T>> {
-        loop {
-            let v = self.current.load(Ordering::SeqCst);
-            if let Some(i) = epoch_slot {
-                self.epochs[i].store(v, Ordering::SeqCst);
-                if self.current.load(Ordering::SeqCst) != v {
-                    // A publish raced our announcement; the writer's
-                    // reclaim scan may have missed it. Re-announce
-                    // against the newer version.
-                    continue;
-                }
-            }
-            let slot = &self.slots[ring_slot(v)];
-            // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-            let guard = slot.read().expect("engine lock poisoned");
-            if let Some(arc) = guard.as_ref() {
-                if arc.number == v {
-                    return Arc::clone(arc);
-                }
-            }
-            // The ring wrapped (≥ RING publishes between our two loads)
-            // or an unpinned slot was reclaimed: retry against the
-            // newer `current`. Each retry observes a strictly newer
-            // version, so the loop terminates once the writer pauses.
-        }
-    }
-
-    /// Publishes the pending batch as the next version and eagerly
-    /// reclaims ring slots no pinned reader can still need.
-    fn publish_locked(&self, w: &mut WriterState<T>) {
-        let batch = std::mem::take(&mut w.pending);
-        let (writes, cow_boxes, lane_runs) = w.apply_batch(&batch);
-        w.total_updates += u64::try_from(batch.len()).unwrap_or(u64::MAX);
+    /// Runs `apply` against the writer's slabs and publishes the result
+    /// as exactly one new version that folds in `updates` more updates.
+    fn publish(&self, updates: u64, apply: impl FnOnce(&mut WriterState<T>, &mut WriteCost)) {
+        let mut cost = WriteCost::default();
+        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
+        let mut w = self.writer.lock().expect("engine lock poisoned");
+        apply(&mut w, &mut cost);
+        w.total_updates += updates;
         w.version += 1;
-        let next = w.version;
-        let published = Arc::new(Version {
-            number: next,
+        let next = Arc::new(Version {
+            number: w.version,
             total_updates: w.total_updates,
-            data: w.version_data(),
+            data: w.data.clone(),
         });
-        {
-            let slot = &self.slots[ring_slot(next)];
+        let retired = {
             // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-            let mut guard = slot.write().expect("engine lock poisoned");
-            *guard = Some(published);
-        }
-        self.current.store(next, Ordering::SeqCst);
-        self.reclaim(next);
-        self.cell_writes.fetch_add(writes, Ordering::Relaxed);
+            let mut current = self.current.write().expect("engine lock poisoned");
+            std::mem::replace(&mut *current, next)
+        };
+        drop(w);
+        // Only now, with both locks released, can the retired version
+        // free the slabs no snapshot still holds.
+        drop(retired);
+        self.cell_writes.fetch_add(cost.writes, Ordering::Relaxed);
         let m = crate::obs::snapshot();
         m.versions.inc();
-        m.cow_boxes.add(cow_boxes);
-        if lane_runs > 0 {
-            crate::obs::core().lane_runs.add(lane_runs);
+        m.cow_boxes.add(cost.cow_boxes);
+        if cost.lane_runs > 0 {
+            crate::obs::core().lane_runs.add(cost.lane_runs);
         }
-    }
-
-    /// Clears every ring slot holding a version older than the oldest
-    /// pinned epoch. Memory safety never depends on this — pinned
-    /// readers hold `Arc` clones — it just returns slab memory as soon
-    /// as no reader can reach a retired version through the ring.
-    fn reclaim(&self, just_published: u64) {
-        let mut min_pinned = u64::MAX;
-        for e in &self.epochs {
-            let v = e.load(Ordering::SeqCst);
-            if v < IDLE && v < min_pinned {
-                min_pinned = v;
-            }
-        }
-        for (i, s) in self.slots.iter().enumerate() {
-            if i == ring_slot(just_published) {
-                continue;
-            }
-            let slot = s;
-            // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-            let mut guard = slot.write().expect("engine lock poisoned");
-            if guard.as_ref().is_some_and(|v| v.number < min_pinned) {
-                *guard = None;
-            }
-        }
-    }
-
-    /// Claims a free epoch slot, or `None` when all [`MAX_READERS`] are
-    /// taken (the handle then pins without reclamation protection).
-    fn acquire_epoch_slot(&self) -> Option<usize> {
-        for (i, e) in self.epochs.iter().enumerate() {
-            if e.compare_exchange(FREE, IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(i);
-            }
-        }
-        None
     }
 }
 
@@ -628,17 +478,15 @@ impl<T: GroupValue> VersionedShared<T> {
 /// use ndcube::Region;
 ///
 /// let engine = VersionedEngine::new(RpsEngine::<i64>::zeros(&[8, 8]).unwrap());
-/// let mut reader = engine.reader();
 ///
-/// let before = reader.pin(); // epoch-pinned: never blocks on the writer
+/// let before = engine.snapshot(); // an immutable version
 /// engine.update(&[2, 2], 5).unwrap();
 ///
-/// // The pinned snapshot still sees the pre-update state; a fresh pin
-/// // sees the published update.
+/// // The held snapshot still sees the pre-update state; a fresh
+/// // snapshot sees the published update.
 /// let all = Region::new(&[0, 0], &[7, 7]).unwrap();
 /// assert_eq!(before.query(&all).unwrap(), 0);
-/// drop(before);
-/// assert_eq!(reader.pin().query(&all).unwrap(), 5);
+/// assert_eq!(engine.snapshot().query(&all).unwrap(), 5);
 /// ```
 #[derive(Debug)]
 pub struct VersionedEngine<T> {
@@ -685,42 +533,32 @@ impl<T: GroupValue> VersionedEngine<T> {
         }
 
         let state = WriterState {
-            grid,
-            shape: shape.clone(),
-            box_offsets: Arc::new(box_offsets),
-            ov_base: Arc::new(ov_base),
-            ov_slabs,
-            rp_slabs,
-            k0,
-            stride0,
+            data: VersionData {
+                grid,
+                shape: shape.clone(),
+                box_offsets: Arc::new(box_offsets),
+                ov_base: Arc::new(ov_base),
+                ov_slabs,
+                rp_slabs,
+                k0,
+                stride0,
+            },
             scratch: KernelScratch::new(),
-            pending: Vec::new(),
-            publish_threshold: 1,
             total_updates: 0,
             version: 0,
         };
         let initial = Arc::new(Version {
             number: 0,
             total_updates: 0,
-            data: state.version_data(),
-        });
-        let slots: [RwLock<Option<Arc<Version<T>>>>; RING] = std::array::from_fn(|i| {
-            RwLock::new(if i == 0 {
-                Some(Arc::clone(&initial))
-            } else {
-                None
-            })
+            data: state.data.clone(),
         });
         crate::obs::snapshot().versions.inc();
         VersionedEngine {
             inner: Arc::new(VersionedShared {
                 writer: Mutex::new(state),
-                current: AtomicU64::new(0),
-                slots,
-                epochs: std::array::from_fn(|_| AtomicU64::new(FREE)),
+                current: RwLock::new(initial),
                 shape,
                 queries: AtomicU64::new(0),
-                updates: AtomicU64::new(0),
                 cell_writes: AtomicU64::new(0),
             }),
         }
@@ -736,24 +574,9 @@ impl<T: GroupValue> VersionedEngine<T> {
         Ok(Self::new(RpsEngine::zeros(dims)?))
     }
 
-    /// Sets how many accepted updates are buffered before the writer
-    /// publishes a version (≥ 1; the default 1 publishes every update
-    /// immediately). Buffered updates are invisible to readers until
-    /// published by the threshold, [`Self::apply_batch`] or
-    /// [`Self::flush`].
-    #[must_use]
-    pub fn with_publish_threshold(self, n: usize) -> Self {
-        {
-            // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-            let mut w = self.inner.writer.lock().expect("engine lock poisoned");
-            w.publish_threshold = n.max(1);
-        }
-        self
-    }
-
     /// The number of the most recently published version.
     pub fn current_version(&self) -> u64 {
-        self.inner.current.load(Ordering::SeqCst)
+        self.snapshot().number
     }
 
     /// The cube shape.
@@ -767,57 +590,39 @@ impl<T: GroupValue> VersionedEngine<T> {
         self.inner.queries.load(Ordering::Relaxed)
     }
 
-    /// Total updates accepted across all handles.
+    /// Total updates published across all handles.
     pub fn update_count(&self) -> u64 {
-        self.inner.updates.load(Ordering::Relaxed)
+        self.snapshot().total_updates
     }
 
-    /// Total cells written by published batches (the paper's update-cost
-    /// accounting, aggregated across versions).
+    /// Total cells written by published versions (the paper's
+    /// update-cost accounting, aggregated across versions).
     pub fn write_count(&self) -> u64 {
         self.inner.cell_writes.load(Ordering::Relaxed)
     }
 
-    /// Registers an epoch-pinning reader.
-    pub fn reader(&self) -> ReaderHandle<T> {
-        let slot = self.inner.acquire_epoch_slot();
-        if slot.is_some() {
-            crate::obs::snapshot().readers.add(1);
-        }
-        ReaderHandle {
-            inner: Arc::clone(&self.inner),
-            slot,
-        }
-    }
-
-    /// The current published version, unpinned: the returned `Arc`
-    /// keeps it alive, but does not hold back ring-slot reclamation the
-    /// way a pinned reader does. The cheap entry point for one-shot
-    /// queries and CLI use.
+    /// The current published version. The returned `Arc` keeps it
+    /// alive and unchanged for as long as it is held; later publishes
+    /// are seen by later calls.
     pub fn snapshot(&self) -> Arc<Version<T>> {
-        self.inner.pin_current(None)
+        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
+        Arc::clone(&self.inner.current.read().expect("engine lock poisoned"))
     }
 
-    /// Accepts one update. It becomes visible to *new* snapshots once
-    /// published (immediately at the default threshold 1).
+    /// Applies one update and publishes it as a new version.
     pub fn update(&self, coords: &[usize], delta: T) -> Result<(), NdError> {
         self.inner.shape.check(coords)?;
-        let m = crate::obs::engine(crate::obs::EngineKind::Rps);
-        m.updates.inc();
-        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-        let mut w = self.inner.writer.lock().expect("engine lock poisoned");
-        w.pending.push(PendingOp::Point(coords.to_vec(), delta));
-        self.inner.updates.fetch_add(1, Ordering::Relaxed);
-        if w.pending.len() >= w.publish_threshold {
-            self.inner.publish_locked(&mut w);
-        }
+        crate::obs::engine(crate::obs::EngineKind::Rps)
+            .updates
+            .inc();
+        self.inner
+            .publish(1, move |w, cost| w.apply_point(coords, &delta, cost));
         Ok(())
     }
 
-    /// Accepts one bulk range update: `delta` is added to every cell of
-    /// `region`. The rectangle is applied copy-on-write as a single
-    /// pending op and published like a point update, so readers always
-    /// observe it atomically — one version boundary never splits it.
+    /// Applies one bulk range update — `delta` is added to every cell of
+    /// `region` — and publishes it as one new version, so readers always
+    /// observe the whole rectangle or none of it.
     pub fn range_update(&self, region: &Region, delta: T) -> Result<(), NdError> {
         self.inner.shape.check_region(region)?;
         let m = crate::obs::core();
@@ -825,50 +630,34 @@ impl<T: GroupValue> VersionedEngine<T> {
         m.range_update_cells
             .add(u64::try_from(region.cell_count()).unwrap_or(u64::MAX));
         let _span = rps_obs::Span::enter("versioned.range_update", &m.range_update_ns);
-        crate::obs::engine(crate::obs::EngineKind::Rps).updates.inc();
-        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-        let mut w = self.inner.writer.lock().expect("engine lock poisoned");
-        w.pending.push(PendingOp::Range(region.clone(), delta));
-        self.inner.updates.fetch_add(1, Ordering::Relaxed);
-        if w.pending.len() >= w.publish_threshold {
-            self.inner.publish_locked(&mut w);
-        }
+        crate::obs::engine(crate::obs::EngineKind::Rps)
+            .updates
+            .inc();
+        self.inner
+            .publish(1, move |w, cost| w.apply_range(region, &delta, cost));
         Ok(())
     }
 
     /// Applies a batch of updates and publishes exactly one new version
-    /// for it (plus any updates already pending), so readers observe the
-    /// batch atomically — never a partial batch.
+    /// for it, so readers observe the batch atomically — never a partial
+    /// batch.
     pub fn apply_batch(&self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
         for (coords, _) in updates {
             self.inner.shape.check(coords)?;
         }
         let m = crate::obs::engine(crate::obs::EngineKind::Rps);
         m.batches.inc();
-        m.batch_updates
-            .add(u64::try_from(updates.len()).unwrap_or(u64::MAX));
-        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-        let mut w = self.inner.writer.lock().expect("engine lock poisoned");
-        w.pending
-            .extend(updates.iter().cloned().map(|(c, v)| PendingOp::Point(c, v)));
-        self.inner.updates.fetch_add(
-            u64::try_from(updates.len()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.inner.publish_locked(&mut w);
+        let n = u64::try_from(updates.len()).unwrap_or(u64::MAX);
+        m.batch_updates.add(n);
+        self.inner.publish(n, |w, cost| {
+            for (coords, delta) in updates {
+                w.apply_point(coords, delta, cost);
+            }
+        });
         Ok(())
     }
 
-    /// Publishes any pending buffered updates as a new version.
-    pub fn flush(&self) {
-        // lint:allow(L2): poisoning means a writer already panicked; fail fast is the policy
-        let mut w = self.inner.writer.lock().expect("engine lock poisoned");
-        if !w.pending.is_empty() {
-            self.inner.publish_locked(&mut w);
-        }
-    }
-
-    /// One-shot query against the current version (pin-free snapshot).
+    /// One-shot query against the current version.
     pub fn query(&self, region: &Region) -> Result<T, NdError> {
         let out = self.snapshot().query(region);
         if out.is_ok() {
@@ -920,79 +709,6 @@ impl<T: GroupValue + Send + Sync> VersionedEngine<T> {
     }
 }
 
-/// A registered reader: owns an epoch slot (when one is free) and pins
-/// snapshots through it. Dropping the handle frees the slot.
-#[derive(Debug)]
-pub struct ReaderHandle<T> {
-    inner: Arc<VersionedShared<T>>,
-    slot: Option<usize>,
-}
-
-impl<T: GroupValue> ReaderHandle<T> {
-    /// Pins the current version: the returned snapshot's version stays
-    /// reachable (and its ring slot unreclaimed) until the pin is
-    /// dropped. `&mut self` keeps one pin per handle — a handle is one
-    /// reader, and its epoch slot can announce one version at a time.
-    pub fn pin(&mut self) -> PinnedSnapshot<'_, T> {
-        let version = self.inner.pin_current(self.slot);
-        crate::obs::snapshot().pinned_readers.add(1);
-        PinnedSnapshot {
-            inner: &self.inner,
-            slot: self.slot,
-            version,
-        }
-    }
-
-    /// Whether this handle owns an epoch slot (`false` once
-    /// `MAX_READERS` handles are live; pinning still works, but no
-    /// longer delays ring-slot reclamation).
-    pub fn has_epoch_slot(&self) -> bool {
-        self.slot.is_some()
-    }
-}
-
-impl<T> Drop for ReaderHandle<T> {
-    fn drop(&mut self) {
-        if let Some(i) = self.slot {
-            self.inner.epochs[i].store(FREE, Ordering::SeqCst);
-            crate::obs::snapshot().readers.sub(1);
-        }
-    }
-}
-
-/// An epoch-pinned snapshot: dereferences to the pinned [`Version`], so
-/// every query method is available directly. Unpins on drop.
-#[derive(Debug)]
-pub struct PinnedSnapshot<'r, T> {
-    inner: &'r VersionedShared<T>,
-    slot: Option<usize>,
-    version: Arc<Version<T>>,
-}
-
-impl<T> PinnedSnapshot<'_, T> {
-    /// The pinned version.
-    pub fn version(&self) -> &Version<T> {
-        &self.version
-    }
-}
-
-impl<T> std::ops::Deref for PinnedSnapshot<'_, T> {
-    type Target = Version<T>;
-
-    fn deref(&self) -> &Version<T> {
-        &self.version
-    }
-}
-
-impl<T> Drop for PinnedSnapshot<'_, T> {
-    fn drop(&mut self) {
-        if let Some(i) = self.slot {
-            self.inner.epochs[i].store(IDLE, Ordering::SeqCst);
-        }
-        crate::obs::snapshot().pinned_readers.sub(1);
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -1036,15 +752,14 @@ mod tests {
     fn pinned_snapshot_is_immutable() {
         let v = paper_versioned();
         let all = Region::new(&[0, 0], &[8, 8]).unwrap();
-        let mut reader = v.reader();
-        let pinned = reader.pin();
+        let pinned = v.snapshot();
         assert_eq!(pinned.query(&all).unwrap(), 290);
         v.update(&[0, 0], 7).unwrap();
         // The pin still observes version 0; a fresh pin sees version 1.
         assert_eq!(pinned.query(&all).unwrap(), 290);
         assert_eq!(pinned.number(), 0);
         drop(pinned);
-        let pinned = reader.pin();
+        let pinned = v.snapshot();
         assert_eq!(pinned.number(), 1);
         assert_eq!(pinned.query(&all).unwrap(), 297);
     }
@@ -1092,22 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_threshold_buffers_until_flush() {
-        let v = paper_versioned().with_publish_threshold(10);
-        v.update(&[0, 0], 5).unwrap();
-        v.update(&[1, 1], 5).unwrap();
-        // Accepted but unpublished: readers still see version 0.
-        assert_eq!(v.current_version(), 0);
-        assert_eq!(v.total(), 290);
-        v.flush();
-        assert_eq!(v.current_version(), 1);
-        assert_eq!(v.total(), 300);
-        // An empty flush publishes nothing.
-        v.flush();
-        assert_eq!(v.current_version(), 1);
-    }
-
-    #[test]
     fn query_many_variants_match_serial() {
         let v = paper_versioned();
         v.apply_batch(&[(vec![2, 2], 9), (vec![7, 7], -4)]).unwrap();
@@ -1123,54 +822,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_keeps_held_snapshots_alive() {
+    fn held_snapshot_survives_many_publishes() {
+        const PUBLISHES: usize = 19;
         let v = paper_versioned();
         let old = v.snapshot();
-        // Publish far more versions than the ring holds.
-        for i in 0..(2 * RING + 3) {
+        for i in 0..PUBLISHES {
             v.update(&[i % 9, (i * 5) % 9], 1).unwrap();
         }
         // The held Arc still answers from version 0.
         assert_eq!(old.total(), 290);
         assert_eq!(old.number(), 0);
-        // And fresh pins see the newest version.
+        // And fresh snapshots see the newest version.
         let newest = v.snapshot();
-        assert_eq!(newest.number(), u64::try_from(2 * RING + 3).unwrap());
-        assert_eq!(newest.total(), 290 + i64::try_from(2 * RING + 3).unwrap());
-    }
-
-    #[test]
-    fn pinned_reader_protects_its_ring_slot() {
-        let v = paper_versioned();
-        let mut reader = v.reader();
-        let pinned = reader.pin();
-        // Fewer publishes than the ring size: the pinned version's slot
-        // is skipped by eager reclamation (min pinned epoch = 0).
-        for i in 0..3 {
-            v.update(&[i, i], 1).unwrap();
-        }
-        let slot0 = v.inner.slots[0].read().unwrap();
-        assert!(slot0.as_ref().is_some_and(|s| s.number() == 0));
-        drop(slot0);
-        drop(pinned);
-        // With the pin gone, the next publish reclaims version 0's slot.
-        v.update(&[5, 5], 1).unwrap();
-        assert!(v.inner.slots[0].read().unwrap().is_none());
-    }
-
-    #[test]
-    fn reader_slots_recycle_and_overflow_degrades() {
-        let v = paper_versioned();
-        let handles: Vec<_> = (0..MAX_READERS).map(|_| v.reader()).collect();
-        assert!(handles.iter().all(ReaderHandle::has_epoch_slot));
-        // Slot table exhausted: the next reader degrades gracefully...
-        let mut extra = v.reader();
-        assert!(!extra.has_epoch_slot());
-        assert_eq!(extra.pin().total(), 290);
-        // ...and dropping a registered handle frees its slot for reuse.
-        drop(handles);
-        let recycled = v.reader();
-        assert!(recycled.has_epoch_slot());
+        assert_eq!(newest.number(), u64::try_from(PUBLISHES).unwrap());
+        assert_eq!(newest.total(), 290 + i64::try_from(PUBLISHES).unwrap());
     }
 
     #[test]
@@ -1190,10 +855,9 @@ mod tests {
                 let v = v.clone();
                 let full = full.clone();
                 std::thread::spawn(move || {
-                    let mut reader = v.reader();
                     let mut last = 0i64;
                     for _ in 0..150 {
-                        let pinned = reader.pin();
+                        let pinned = v.snapshot();
                         let t = pinned.query(&full).unwrap();
                         // Each snapshot is exactly some prefix of the
                         // update sequence (all deltas are +1).
@@ -1235,8 +899,7 @@ mod tests {
     fn range_update_matches_serial_and_respects_pins() {
         let v = paper_versioned();
         let mut serial = RpsEngine::from_cube_uniform(&paper_array_a(), 3).unwrap();
-        let mut reader = v.reader();
-        let pinned = reader.pin();
+        let pinned = v.snapshot();
         let r = Region::new(&[1, 2], &[6, 7]).unwrap();
         v.range_update(&r, 5).unwrap();
         serial.range_update(&r, 5).unwrap();
@@ -1245,7 +908,7 @@ mod tests {
         drop(pinned);
         // ...and a fresh pin sees the whole rectangle at once, cell-for-
         // cell identical to the serial engine's fast path.
-        let snap = reader.pin();
+        let snap = v.snapshot();
         for x in &snap.shape().full_region() {
             let pr = Region::new(&[0; 2], &x).unwrap();
             assert_eq!(snap.query(&pr).unwrap(), serial.query(&pr).unwrap(), "{x:?}");

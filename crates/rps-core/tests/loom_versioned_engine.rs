@@ -1,13 +1,12 @@
-//! Loom interleaving tests for the versioned engine's publication and
-//! reclamation protocol (`rps_core::versioned`).
+//! Loom interleaving tests for the versioned engine's publication
+//! protocol (`rps_core::versioned`).
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (see `scripts/loom.sh`),
 //! where `rps_core::sync_compat` swaps `std::sync` for loom's
-//! instrumented primitives. The protocol under test is the safe-Rust
-//! arc-swap: writer fills a ring slot then bumps `current` (SeqCst),
-//! readers announce an epoch then revalidate `current` before cloning
-//! out of the slot, and the writer's reclaim scan must never clear a
-//! slot a validated pin still needs.
+//! instrumented primitives. The protocol under test is one
+//! `RwLock<Arc<Version>>`: the writer applies copy-on-write under its
+//! mutex, then swaps the new `Arc` in under the write lock; a snapshot
+//! clones the `Arc` under the read lock.
 //!
 //! Models are deliberately tiny — a handful of operations on 2–3
 //! threads — because loom's state space is exponential in the number
@@ -18,11 +17,10 @@
 use ndcube::Region;
 use rps_core::{RpsEngine, VersionedEngine};
 
-/// A pin racing one publish must observe a complete version: either the
-/// pre-update snapshot or the post-update one, never a mix, and the
-/// snapshot's `update_count` must agree with the value it reports.
+/// A snapshot racing one publish observes a complete version: either
+/// the pre-update state or the post-update one, never a mix.
 #[test]
-fn pin_races_publish_atomically() {
+fn snapshot_racing_publish_is_never_torn() {
     loom::model(|| {
         let v = VersionedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
         let full = Region::new(&[0, 0], &[3, 3]).unwrap();
@@ -33,29 +31,19 @@ fn pin_races_publish_atomically() {
                 v.update(&[1, 1], 7).unwrap();
             })
         };
-        let mut reader = v.reader();
-        let pinned = reader.pin();
-        let total = pinned.query(&full).unwrap();
-        assert!(
-            total == 0 || total == 7,
-            "pin observed a half-published version: {total}"
-        );
-        // The snapshot is internally consistent with its own metadata.
-        assert_eq!(total, 7 * i64::try_from(pinned.update_count()).unwrap());
-        drop(pinned);
+        let snap = v.snapshot();
+        let total = snap.query(&full).unwrap();
+        assert!(total == 0 || total == 7, "torn snapshot: {total}");
         writer.join().unwrap();
         assert_eq!(v.total(), 7);
         assert_eq!(v.current_version(), 1);
     });
 }
 
-/// Reclamation racing a pin: the writer publishes twice (the second
-/// publish's reclaim scan is the adversary) while a reader pins and
-/// queries. A validated pin must keep answering from a complete
-/// version even if its ring slot is concurrently reclaimed — the `Arc`
-/// clone is the backstop.
+/// A held snapshot answers the same before and after two concurrent
+/// publishes have retired the version it was taken from.
 #[test]
-fn reclaim_never_invalidates_a_pin() {
+fn held_snapshot_is_stable_across_two_publishes() {
     loom::model(|| {
         let v = VersionedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
         let full = Region::new(&[0, 0], &[3, 3]).unwrap();
@@ -67,26 +55,19 @@ fn reclaim_never_invalidates_a_pin() {
                 v.update(&[3, 3], 1).unwrap();
             })
         };
-        let mut reader = v.reader();
-        let pinned = reader.pin();
-        let n = pinned.update_count();
-        let total = pinned.query(&full).unwrap();
-        // Whatever prefix was pinned, the snapshot reports exactly it.
-        assert_eq!(total, i64::try_from(n).unwrap());
-        // Re-querying the same pin later (after any reclamation) still
-        // answers from the same version.
-        assert_eq!(pinned.query(&full).unwrap(), total);
-        drop(pinned);
+        let snap = v.snapshot();
+        let total = snap.query(&full).unwrap();
         writer.join().unwrap();
+        // Both publishes are done; the held snapshot is unchanged.
+        assert_eq!(snap.query(&full).unwrap(), total);
         assert_eq!(v.total(), 2);
     });
 }
 
-/// Two readers pinning around a publish observe a monotone sequence of
-/// versions: a pin taken after another pin was dropped can never see an
-/// older version than the first.
+/// Successive snapshots around a publish are monotone: a snapshot
+/// taken after another can never see an older version.
 #[test]
-fn successive_pins_are_monotone() {
+fn successive_snapshots_are_monotone() {
     loom::model(|| {
         let v = VersionedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
 
@@ -96,19 +77,21 @@ fn successive_pins_are_monotone() {
                 v.update(&[2, 2], 1).unwrap();
             })
         };
-        let mut reader = v.reader();
-        let first = reader.pin().number();
-        let second = reader.pin().number();
-        assert!(second >= first, "pin went backwards: {first} → {second}");
+        let first = v.snapshot().number();
+        let second = v.snapshot().number();
+        assert!(
+            second >= first,
+            "snapshot went backwards: {first} → {second}"
+        );
         writer.join().unwrap();
         assert_eq!(v.snapshot().number(), 1);
     });
 }
 
-/// Unpinned snapshots racing publishes: `snapshot()` (pin-free path,
-/// no epoch slot) must still always return a complete version.
+/// A snapshot agrees with its own `update_count`, whether it lands
+/// before, between or after a point update and a two-update batch.
 #[test]
-fn unpinned_snapshot_races_publish() {
+fn snapshot_agrees_with_its_update_count() {
     loom::model(|| {
         let v = VersionedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
         let full = Region::new(&[0, 0], &[3, 3]).unwrap();
@@ -116,13 +99,16 @@ fn unpinned_snapshot_races_publish() {
         let writer = {
             let v = v.clone();
             loom::thread::spawn(move || {
-                v.update(&[1, 2], 5).unwrap();
+                v.update(&[0, 1], 1).unwrap();
+                v.apply_batch(&[(vec![1, 2], 1), (vec![3, 0], 1)]).unwrap();
             })
         };
         let snap = v.snapshot();
-        let total = snap.query(&full).unwrap();
-        assert!(total == 0 || total == 5, "torn snapshot: {total}");
+        let n = snap.update_count();
+        // Every delta is +1, and the batch publishes as one version.
+        assert!(matches!(n, 0 | 1 | 3), "snapshot inside a batch: {n}");
+        assert_eq!(snap.query(&full).unwrap(), i64::try_from(n).unwrap());
         writer.join().unwrap();
-        assert_eq!(v.total(), 5);
+        assert_eq!(v.total(), 3);
     });
 }

@@ -7,9 +7,10 @@
 //! service: many named per-tenant cubes behind the length-prefixed,
 //! CRC-sealed [`RPSWIRE1`](wire) binary protocol, a fixed worker thread
 //! pool, per-tenant admission control ([`quota`]), and a Prometheus
-//! `/metrics` endpoint on the same listener. Reads run lock-free on
-//! [`VersionedEngine`](rps_core::VersionedEngine) published snapshots;
-//! writes go WAL-first through the durable path with an automatic
+//! `/metrics` endpoint on the same listener. Reads run on
+//! [`VersionedEngine`](rps_core::VersionedEngine) published snapshots,
+//! which never wait for a writer's copy-on-write work; writes go
+//! WAL-first through the durable path with an automatic
 //! [`SnapshotPolicy`](rps_storage::SnapshotPolicy) checkpoint trigger.
 //!
 //! docs/SERVING.md specifies the wire format and rejection semantics

@@ -11,9 +11,10 @@
 //! The acceptor thread only accepts; accepted sockets go down an
 //! in-process queue to `workers` handler threads, each of which owns a
 //! connection for its whole lifetime (requests on one connection are
-//! serial, matching the wire protocol's in-order replies). Reads run
-//! lock-free on [`VersionedEngine`](rps_core::VersionedEngine)
-//! snapshots; writes serialize per tenant (see [`crate::tenant`]).
+//! serial, matching the wire protocol's in-order replies). Reads run on
+//! [`VersionedEngine`](rps_core::VersionedEngine) snapshots, which
+//! never wait for a writer's copy-on-write work; writes serialize per
+//! tenant (see [`crate::tenant`]).
 //!
 //! ## Shutdown
 //!

@@ -1,4 +1,4 @@
-//! Named per-tenant cubes: a lock-free read engine, an optional
+//! Named per-tenant cubes: a snapshot read engine, an optional
 //! durable write path, and admission state.
 //!
 //! Reads never take a tenant lock — they run against
@@ -61,7 +61,7 @@ impl Tenant {
         &self.name
     }
 
-    /// The lock-free read/write engine (reads pin published versions).
+    /// The read/write engine (reads clone the published version's `Arc`).
     #[must_use]
     pub fn versioned(&self) -> &VersionedEngine<i64> {
         &self.versioned
@@ -86,7 +86,6 @@ impl Tenant {
             let mut d = lock_durable(durable);
             d.engine.update(coords, delta)?;
             self.versioned.update(coords, delta)?;
-            self.versioned.flush();
             let DurableTenant {
                 engine,
                 store,
@@ -100,7 +99,6 @@ impl Tenant {
             }
         } else {
             self.versioned.update(coords, delta)?;
-            self.versioned.flush();
         }
         Ok(())
     }

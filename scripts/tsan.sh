@@ -4,8 +4,8 @@
 # including the non-aligned slab geometries the property tests
 # generate), the sharded query_many_parallel front-end, SharedEngine's
 # readers–writer paths, the buffered engine's flush, and the
-# versioned engine's publish/pin/reclaim protocol (module tests plus
-# the snapshot-monotonicity property suite). Needs a nightly
+# versioned engine's publish/snapshot swap (module tests plus the
+# snapshot property suite). Needs a nightly
 # toolchain with rust-src (TSan requires rebuilding std with
 # instrumentation):
 #
@@ -23,8 +23,8 @@ export PROPTEST_CASES="${PROPTEST_CASES:-16}"
 TARGET="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 
 # Unit tests of the concurrent modules (including versioned::'s
-# publish/pin/reclaim protocol), then the integration suites that
-# exercise them at full size.
+# publish/snapshot swap), then the integration suites that exercise
+# them at full size.
 cargo +nightly test -Z build-std --target "$TARGET" -p rps-core \
     concurrent:: parallel:: buffered:: versioned:: query_many_parallel "$@"
 exec cargo +nightly test -Z build-std --target "$TARGET" -p rps-core \
