@@ -253,7 +253,7 @@ fn measure_range_engine<E: RangeSumEngine<i64>>(
     let mut it = rects.iter().cycle();
     let per_cell = measure(per_cell_ops, || {
         let (r, d) = it.next().expect("cycle never ends");
-        for c in r.iter() {
+        for c in r {
             engine.update(&c, *d).expect("in bounds");
         }
     });
@@ -288,8 +288,11 @@ fn run_range_scenario(name: &str, dims: &[usize], ops: usize, smoke: bool) -> Ra
             let mut g = UpdateGen::uniform(dims, 23, 50).with_region_spec(spec);
             (0..ops.max(1)).map(|_| g.next_range_update()).collect()
         };
-        let cells_per_op =
-            rects.iter().map(|(r, _)| r.cell_count() as f64).sum::<f64>() / rects.len() as f64;
+        let cells_per_op = rects
+            .iter()
+            .map(|(r, _)| r.cell_count() as f64)
+            .sum::<f64>()
+            / rects.len() as f64;
         let per_cell_ops = ((cell_budget / cells_per_op) as usize).clamp(4, ops.max(4));
 
         let engines = vec![
@@ -391,11 +394,17 @@ fn main() {
     for s in &range_scenarios {
         println!("scenario {} dims {:?}", s.name, s.dims);
         for shape in &s.shapes {
-            println!("  shape {:<9} (~{:.0} cells/op)", shape.shape, shape.cells_per_op);
+            println!(
+                "  shape {:<9} (~{:.0} cells/op)",
+                shape.shape, shape.cells_per_op
+            );
             for e in &shape.engines {
                 println!(
                     "    {:<16} fast {:>12.1} ns/op   per-cell {:>14.1} ns/op   speedup {:>8.2}x",
-                    e.engine, e.fast.ns_per_op, e.per_cell.ns_per_op, e.speedup()
+                    e.engine,
+                    e.fast.ns_per_op,
+                    e.per_cell.ns_per_op,
+                    e.speedup()
                 );
             }
         }

@@ -1084,7 +1084,10 @@ mod tests {
         ]);
         assert!(!ok, "--cell plus --region must be rejected");
         let (_, ok) = run_capture(&["update", "--file", &engine, "--delta", "3"]);
-        assert!(!ok, "update with neither --cell nor --region must be rejected");
+        assert!(
+            !ok,
+            "update with neither --cell nor --region must be rejected"
+        );
     }
 
     #[test]

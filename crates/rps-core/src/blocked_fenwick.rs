@@ -25,14 +25,14 @@
 //! `O(log^{d−1} n · log(n/B))`.
 //!
 //! Range updates reuse the d-dimensional dual-BIT decomposition shared
-//! with [`crate::FenwickEngine`] (see [`crate::fenwick::range_update_aux`]):
+//! with [`crate::FenwickEngine`] (see `fenwick::range_update_aux`):
 //! the auxiliary trees are plain binary Fenwick cubes allocated on the
 //! first range update, so point-only workloads keep the blocked-only
 //! footprint.
 //!
 //! Like the RPS kernels this module is allocation-free on its hot paths
 //! (enforced by the workspace lint `L5`): queries borrow the
-//! thread-local [`Scratch`] via [`with_scratch`], updates reuse an
+//! thread-local [`crate::rps::Scratch`] via [`with_scratch`], updates reuse an
 //! engine-owned [`KernelScratch`].
 
 use ndcube::{NdCube, NdError, Region, Shape};
@@ -421,7 +421,7 @@ mod tests {
         ] {
             let r = Region::new(&lo, &hi).unwrap();
             fast.range_update(&r, delta).unwrap();
-            for c in r.iter() {
+            for c in &r {
                 slow.update(&c, delta).unwrap();
             }
             assert_eq!(fast.materialize(), slow.materialize(), "after {r:?}");

@@ -44,7 +44,7 @@ pub trait RangeSumEngine<T: GroupValue> {
         if delta.is_zero() {
             return Ok(());
         }
-        for coords in region.iter() {
+        for coords in region {
             self.update(&coords, delta.clone())?;
         }
         Ok(())

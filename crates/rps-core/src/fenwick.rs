@@ -135,16 +135,16 @@ pub(crate) fn range_update_aux<T: GroupValue>(
     // suffixes and vanish.
     'corners: for c in 0..1usize << d {
         let mut corner_sign = false;
-        for i in 0..d {
+        for (i, pi) in p.iter_mut().enumerate() {
             if c & (1 << i) != 0 {
                 let past = region.hi()[i] + 1;
                 if past >= shape.dim(i) {
                     continue 'corners;
                 }
-                p[i] = past;
+                *pi = past;
                 corner_sign = !corner_sign;
             } else {
-                p[i] = region.lo()[i];
+                *pi = region.lo()[i];
             }
         }
         for (s, tree) in aux.iter_mut().enumerate() {
@@ -426,7 +426,7 @@ mod tests {
         ] {
             let r = Region::new(&lo, &hi).unwrap();
             fast.range_update(&r, delta).unwrap();
-            for c in r.iter() {
+            for c in &r {
                 slow.update(&c, delta).unwrap();
             }
             for (qlo, qhi) in [
@@ -452,7 +452,7 @@ mod tests {
         let mut slow = FenwickEngine::from_cube(&a);
         let r = Region::new(&[1, 0, 2], &[4, 2, 5]).unwrap();
         fast.range_update(&r, -13).unwrap();
-        for c in r.iter() {
+        for c in &r {
             slow.update(&c, -13).unwrap();
         }
         assert_eq!(fast.materialize(), slow.materialize());

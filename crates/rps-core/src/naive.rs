@@ -87,12 +87,17 @@ impl<T: GroupValue> RangeSumEngine<T> for NaiveEngine<T> {
         let mut lane_runs = 0u64;
         let mut cur = Vec::with_capacity(region.ndim());
         let (shape, data) = self.a.parts_mut();
-        shape.for_each_contiguous_run_in_bounds(region.lo(), region.hi(), &mut cur, |start, len| {
-            // lint:allow(L1): run bounds come from the shape's own region walk
-            kernels::add_delta_run(&mut data[start..start + len], &delta);
-            writes += u64::try_from(len).unwrap_or(u64::MAX);
-            lane_runs += u64::from(kernels::is_lane_run(len));
-        });
+        shape.for_each_contiguous_run_in_bounds(
+            region.lo(),
+            region.hi(),
+            &mut cur,
+            |start, len| {
+                // lint:allow(L1): run bounds come from the shape's own region walk
+                kernels::add_delta_run(&mut data[start..start + len], &delta);
+                writes += u64::try_from(len).unwrap_or(u64::MAX);
+                lane_runs += u64::from(kernels::is_lane_run(len));
+            },
+        );
         if lane_runs > 0 {
             m.lane_runs.add(lane_runs);
         }

@@ -273,11 +273,7 @@ impl<T: GroupValue> RangeSumEngine<T> for PrefixSumEngine<T> {
         // Odometer over the outer coordinates of the affected suffix
         // `lo ..= n−1`; the innermost row is handled as two slices.
         let mut cur: Vec<usize> = lo[..last].to_vec();
-        let mut base: usize = cur
-            .iter()
-            .zip(shape.strides())
-            .map(|(&c, &s)| c * s)
-            .sum();
+        let mut base: usize = cur.iter().zip(shape.strides()).map(|(&c, &s)| c * s).sum();
         'rows: loop {
             // lint:allow(L4): per-dimension counts multiply to ≤ shape.len() ≤ u64::MAX
             let mult = cur

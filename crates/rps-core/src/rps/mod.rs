@@ -36,12 +36,12 @@ pub(crate) use overlay::{overlay_prefix_part_src, OverlaySource};
 pub(crate) use parallel::{effective_threads, slab_sizes};
 pub use parallel::{prefix_sums_parallel, relative_prefix_sums_parallel};
 pub use scratch::{with_scratch, KernelScratch, Scratch};
-pub(crate) use update::{overlay_range_walk, overlay_update_walk, rp_range_box};
 pub use update::{
     apply_overlay_update, apply_overlay_update_with, apply_range_update_with, apply_update,
     apply_update_with, for_each_rp_cascade_cell, for_each_stored_offset_geq,
     for_each_stored_offset_geq_with,
 };
+pub(crate) use update::{overlay_range_walk, overlay_update_walk, rp_range_box};
 
 use ndcube::{NdCube, NdError, Region, Shape};
 

@@ -428,12 +428,11 @@ pub(crate) fn rp_range_box<T: GroupValue>(
     let mut lane_runs = 0u64;
     'rows: loop {
         // Prefactor: region cells preceding this row in the outer dims.
-        // lint:allow(L4): per-dimension counts multiply to ≤ the cube's
-        // cell count, which fits u64.
-        let m = row
-            .iter()
-            .enumerate()
-            .fold(1u64, |acc, (i, &c)| acc * (c.min(hi[i]) - rlo[i] + 1) as u64); // lint:allow(L4): counts fit u64
+        let m = row.iter().enumerate().fold(1u64, |acc, (i, &c)| {
+            // Per-dimension counts multiply to ≤ the cube's cell count.
+            // lint:allow(L4): counts fit u64
+            acc * (c.min(hi[i]) - rlo[i] + 1) as u64
+        });
         let start = row_base + rlo[last] - base;
         let ramp_len = hi[last].min(box_hi[last]) - rlo[last] + 1;
         let total_len = box_hi[last] - rlo[last] + 1;
@@ -684,7 +683,7 @@ pub(crate) mod oracle {
         delta: &T,
     ) -> u64 {
         let mut writes = 0u64;
-        for c in region.iter() {
+        for c in region {
             writes += apply_update(grid, overlay, rp, &c, delta);
         }
         writes

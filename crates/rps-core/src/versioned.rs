@@ -911,7 +911,11 @@ mod tests {
         let snap = v.snapshot();
         for x in &snap.shape().full_region() {
             let pr = Region::new(&[0; 2], &x).unwrap();
-            assert_eq!(snap.query(&pr).unwrap(), serial.query(&pr).unwrap(), "{x:?}");
+            assert_eq!(
+                snap.query(&pr).unwrap(),
+                serial.query(&pr).unwrap(),
+                "{x:?}"
+            );
         }
     }
 

@@ -257,7 +257,7 @@ fn run_range_ops<E: RangeSumEngine<i64>>(mut engine: E, sc: &RangeScenario) {
             Op::Range(lo, hi, delta) => {
                 let r = Region::new(lo, hi).unwrap();
                 engine.range_update(&r, *delta).unwrap();
-                for c in r.iter() {
+                for c in &r {
                     oracle[shape.linear(&c).unwrap()] += *delta;
                 }
             }
@@ -266,7 +266,7 @@ fn run_range_ops<E: RangeSumEngine<i64>>(mut engine: E, sc: &RangeScenario) {
     for (lo, hi) in &sc.queries {
         let r = Region::new(lo, hi).unwrap();
         let mut want = 0i64;
-        for c in r.iter() {
+        for c in &r {
             want += oracle[shape.linear(&c).unwrap()];
         }
         assert_eq!(
@@ -329,11 +329,11 @@ fn range_update_edge_regions_all_engines() {
     let dims = [5usize, 13];
     let cube = NdCube::from_fn(&dims, |c| (c[0] * 13 + c[1]) as i64 % 9).unwrap();
     let edges = [
-        Region::new(&[2, 7], &[2, 7]).unwrap(),   // single cell
-        Region::new(&[0, 0], &[4, 12]).unwrap(),  // full cube
-        Region::new(&[3, 0], &[3, 12]).unwrap(),  // full row
-        Region::new(&[1, 0], &[2, 7]).unwrap(),   // ends on the block edge
-        Region::new(&[0, 8], &[4, 12]).unwrap(),  // entirely in the tail block
+        Region::new(&[2, 7], &[2, 7]).unwrap(),  // single cell
+        Region::new(&[0, 0], &[4, 12]).unwrap(), // full cube
+        Region::new(&[3, 0], &[3, 12]).unwrap(), // full row
+        Region::new(&[1, 0], &[2, 7]).unwrap(),  // ends on the block edge
+        Region::new(&[0, 8], &[4, 12]).unwrap(), // entirely in the tail block
     ];
     let sc = RangeScenario {
         dims: dims.to_vec(),

@@ -268,7 +268,7 @@ impl Drop for Reservation<'_> {
     }
 }
 
-fn lock_set<'a>(m: &'a Mutex<HashSet<String>>) -> std::sync::MutexGuard<'a, HashSet<String>> {
+fn lock_set(m: &Mutex<HashSet<String>>) -> std::sync::MutexGuard<'_, HashSet<String>> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

@@ -58,8 +58,9 @@ fn replay_record<E: RangeSumEngine<i64>>(
 ) -> Result<(), StorageError> {
     match &rec.hi {
         None => engine.update(&rec.coords, rec.delta),
-        Some(hi) => Region::new(&rec.coords, hi)
-            .and_then(|region| engine.range_update(&region, rec.delta)),
+        Some(hi) => {
+            Region::new(&rec.coords, hi).and_then(|region| engine.range_update(&region, rec.delta))
+        }
     }
     .map_err(StorageError::Engine)
 }
@@ -257,7 +258,10 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
         {
             let retry = self.retry;
             let wal = &mut self.wal;
-            retry.run(|| wal.append_range(region.lo(), region.hi(), delta).map(|_| ()))?;
+            retry.run(|| {
+                wal.append_range(region.lo(), region.hi(), delta)
+                    .map(|_| ())
+            })?;
         }
         if self.sync_every_append {
             let sync_result = {
@@ -610,10 +614,7 @@ mod tests {
             // first append, so neither the log nor the engine moves.
             let bad: Vec<(Vec<usize>, i64)> =
                 vec![(vec![1, 1], 5), (vec![2, 2], 6), (vec![9, 9], 7)];
-            assert!(matches!(
-                d.update_batch(&bad),
-                Err(StorageError::Engine(_))
-            ));
+            assert!(matches!(d.update_batch(&bad), Err(StorageError::Engine(_))));
             assert_eq!(d.wal_bytes(), len_before, "rejected batch logged records");
             assert_eq!(d.last_lsn(), lsn_before, "rejected batch advanced the LSN");
             assert_eq!(d.query(&full()).unwrap(), 1);
@@ -768,7 +769,11 @@ mod tests {
         let d = DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
         assert_eq!(d.query(&full()).unwrap(), 33);
         let inside = Region::new(&[2, 1], &[2, 1]).unwrap();
-        assert_eq!(d.query(&inside).unwrap(), 5, "every cell of the box got the delta");
+        assert_eq!(
+            d.query(&inside).unwrap(),
+            5,
+            "every cell of the box got the delta"
+        );
     }
 
     #[test]

@@ -371,7 +371,7 @@ impl<L: LogFile> Wal<L> {
     /// would silently swallow them at replay).
     pub fn append(&mut self, coords: &[usize], delta: i64) -> Result<u64, StorageError> {
         self.check_corner(coords)?;
-        self.append_record(WalRecord {
+        self.append_record(&WalRecord {
             lsn: self.next_lsn,
             coords: coords.to_vec(),
             hi: None,
@@ -384,7 +384,12 @@ impl<L: LogFile> Wal<L> {
     /// rules as [`Self::append`], plus `lo[i] <= hi[i]` componentwise and
     /// matching dimensionality (an inverted or ragged box would be
     /// unreplayable).
-    pub fn append_range(&mut self, lo: &[usize], hi: &[usize], delta: i64) -> Result<u64, StorageError> {
+    pub fn append_range(
+        &mut self,
+        lo: &[usize],
+        hi: &[usize],
+        delta: i64,
+    ) -> Result<u64, StorageError> {
         self.check_corner(lo)?;
         self.check_corner(hi)?;
         if lo.len() != hi.len() {
@@ -401,7 +406,7 @@ impl<L: LogFile> Wal<L> {
                 detail: format!("range record has inverted box: lo {l} > hi {h}"),
             });
         }
-        self.append_record(WalRecord {
+        self.append_record(&WalRecord {
             lsn: self.next_lsn,
             coords: lo.to_vec(),
             hi: Some(hi.to_vec()),
@@ -431,8 +436,8 @@ impl<L: LogFile> Wal<L> {
         Ok(())
     }
 
-    fn append_record(&mut self, rec: WalRecord) -> Result<u64, StorageError> {
-        let bytes = encode(&rec);
+    fn append_record(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
+        let bytes = encode(rec);
         let m = crate::obs::storage();
         m.wal_appends.inc();
         let sw = rps_obs::Stopwatch::start();
@@ -791,7 +796,10 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].hi, None);
         // Clean and appendable again; the next range record replays.
-        Wal::open(&path).unwrap().append_range(&[2], &[5], 7).unwrap();
+        Wal::open(&path)
+            .unwrap()
+            .append_range(&[2], &[5], 7)
+            .unwrap();
         let (recs, _) = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].hi, Some(vec![5]));

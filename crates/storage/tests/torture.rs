@@ -134,10 +134,13 @@ struct Model {
     /// State of the last durably persisted checkpoint.
     snapshot: Vec<i64>,
     snapshot_lsn: u64,
-    /// Every acknowledged update, by LSN: lo corner, optional hi corner
-    /// (range records), delta.
-    acked: BTreeMap<u64, (Vec<usize>, Option<Vec<usize>>, i64)>,
+    /// Every acknowledged update, by LSN.
+    acked: BTreeMap<u64, Acked>,
 }
+
+/// One acknowledged update: lo corner, optional hi corner (range
+/// records), delta.
+type Acked = (Vec<usize>, Option<Vec<usize>>, i64);
 
 /// Recovers one crash state and checks it cell-for-cell against
 /// snapshot ⊕ surviving records.
@@ -334,25 +337,28 @@ fn torture_one_seed(seed: u64) -> (u64, u64, u64) {
             }
         }
         sweep_crash_states(seed, &plan, op, &handle, &model);
-
-        // No-loss: with per-append fsync and no lying syncs, what's on
-        // the media alone (plus the snapshot) must reproduce the current
-        // state — an acknowledged update is never lost.
         if strict && !handle.sync_lied() {
-            let media = handle.media();
-            let (records, _) = decode_records(&media);
-            let mut durable = model.snapshot.clone();
-            for rec in records.iter().filter(|r| r.lsn > model.snapshot_lsn) {
-                apply_to_oracle(&mut durable, rec);
-            }
-            assert_eq!(
-                durable, model.cells,
-                "no-loss breach: durable media + snapshot ≠ acknowledged state \
-                 (seed {seed}, op {op}, {plan})"
-            );
+            check_no_loss(seed, &plan, op, &handle, &model);
         }
     }
     handle.injected()
+}
+
+/// No-loss: with per-append fsync and no lying syncs, what's on the
+/// media alone (plus the snapshot) must reproduce the current state —
+/// an acknowledged update is never lost.
+fn check_no_loss(seed: u64, plan: &FaultPlan, op: usize, handle: &SimLogHandle, model: &Model) {
+    let media = handle.media();
+    let (records, _) = decode_records(&media);
+    let mut durable = model.snapshot.clone();
+    for rec in records.iter().filter(|r| r.lsn > model.snapshot_lsn) {
+        apply_to_oracle(&mut durable, rec);
+    }
+    assert_eq!(
+        durable, model.cells,
+        "no-loss breach: durable media + snapshot ≠ acknowledged state \
+         (seed {seed}, op {op}, {plan})"
+    );
 }
 
 #[test]

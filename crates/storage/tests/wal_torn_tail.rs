@@ -82,7 +82,11 @@ fn every_byte_offset_of_a_final_range_record_recovers_cleanly() {
             wal.append_range(&coords, &hi, 9).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 2 * point_len + range_len, "framing size sanity");
+        assert_eq!(
+            bytes.len(),
+            2 * point_len + range_len,
+            "framing size sanity"
+        );
         let intact_prefix = 2 * point_len;
         for extra in 0..range_len {
             let cut = intact_prefix + extra;

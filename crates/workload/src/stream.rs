@@ -72,9 +72,9 @@ impl std::str::FromStr for UpdateSpec {
             "full-row" => Ok(UpdateSpec::FullRow),
             "full" => Ok(UpdateSpec::Full),
             other => {
-                let frac = other
-                    .strip_prefix("frac:")
-                    .ok_or_else(|| format!("unknown update spec `{other}` (want point | frac:F | full-row | full)"))?;
+                let frac = other.strip_prefix("frac:").ok_or_else(|| {
+                    format!("unknown update spec `{other}` (want point | frac:F | full-row | full)")
+                })?;
                 let f: f64 = frac
                     .parse()
                     .map_err(|e| format!("bad fraction `{frac}`: {e}"))?;
@@ -103,7 +103,10 @@ impl UpdateGen {
     /// Uniform-coordinate updates with deltas in `1..=max_delta`.
     pub fn uniform(dims: &[usize], seed: u64, max_delta: i64) -> UpdateGen {
         assert!(max_delta >= 1);
-        assert!(!dims.is_empty() && !dims.contains(&0), "dims must be non-zero");
+        assert!(
+            !dims.is_empty() && !dims.contains(&0),
+            "dims must be non-zero"
+        );
         UpdateGen {
             dims: dims.to_vec(),
             rng: StdRng::seed_from_u64(seed),
@@ -115,7 +118,10 @@ impl UpdateGen {
 
     /// Zipf(θ)-skewed coordinates per dimension — hot-cell update streams.
     pub fn zipf(dims: &[usize], seed: u64, theta: f64, max_delta: i64) -> UpdateGen {
-        assert!(!dims.is_empty() && !dims.contains(&0), "dims must be non-zero");
+        assert!(
+            !dims.is_empty() && !dims.contains(&0),
+            "dims must be non-zero"
+        );
         let skew = dims.iter().map(|&n| Zipf::new(n, theta)).collect();
         UpdateGen {
             dims: dims.to_vec(),
@@ -127,6 +133,7 @@ impl UpdateGen {
     }
 
     /// Sets the rectangle shape drawn by [`UpdateGen::next_range_update`].
+    #[must_use]
     pub fn with_region_spec(mut self, spec: UpdateSpec) -> UpdateGen {
         self.spec = spec;
         self
@@ -396,8 +403,7 @@ mod tests {
             assert_eq!(r.extent(1), 30);
         }
 
-        let mut frac =
-            UpdateGen::uniform(&dims, 1, 5).with_region_spec(UpdateSpec::Fraction(0.25));
+        let mut frac = UpdateGen::uniform(&dims, 1, 5).with_region_spec(UpdateSpec::Fraction(0.25));
         for _ in 0..50 {
             let (r, _) = frac.next_range_update();
             assert!(r.extent(0) <= 5);
@@ -408,9 +414,8 @@ mod tests {
 
     #[test]
     fn range_updates_are_deterministic() {
-        let mk = || {
-            UpdateGen::zipf(&[16, 16], 9, 1.1, 7).with_region_spec(UpdateSpec::Fraction(0.5))
-        };
+        let mk =
+            || UpdateGen::zipf(&[16, 16], 9, 1.1, 7).with_region_spec(UpdateSpec::Fraction(0.5));
         let a: Vec<_> = {
             let mut g = mk();
             (0..32).map(|_| g.next_range_update()).collect()
