@@ -128,13 +128,11 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \x20 verify   [--file FILE] [--wal FILE]\n\
          \x20     audit an engine snapshot's structural invariants and/or a\n\
          \x20     write-ahead log (intact records, last LSN, torn-tail bytes)\n\
-         \x20 recover  --snapshot FILE --wal FILE [--out FILE]\n\
-         \x20     crash recovery: trim the WAL's torn tail, replay records\n\
-         \x20     newer than the snapshot's `.lsn` sidecar, save atomically\n\
          \x20 recover  --dir DIR --wal FILE --dims 64x64 [--out FILE]\n\
-         \x20     checkpoint-directory recovery: load the newest valid binary\n\
-         \x20     snapshot (corrupt ones are quarantined aside), replay the\n\
-         \x20     WAL tail past its LSN, degrade to full replay if needed\n\
+         \x20     crash recovery: trim the WAL's torn tail, load the newest\n\
+         \x20     valid binary snapshot (corrupt ones are quarantined aside),\n\
+         \x20     replay the WAL tail past its LSN, degrade to full replay if\n\
+         \x20     needed; --out saves the recovered engine\n\
          \x20 snapshot take   --dir DIR --wal FILE --dims 64x64\n\
          \x20     recover, then cut a checkpointed binary snapshot (RPSSNAP1,\n\
          \x20     see docs/FORMATS.md) into DIR\n\
@@ -500,21 +498,6 @@ fn verify(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
-/// Reads the `<snapshot>.lsn` sidecar recording the highest LSN already
-/// folded into the snapshot; absent means a snapshot that predates the
-/// WAL entirely (LSN 0).
-fn read_lsn_sidecar(snap_path: &str) -> Result<u64, Box<dyn std::error::Error>> {
-    let lsn_path = format!("{snap_path}.lsn");
-    match std::fs::read_to_string(&lsn_path) {
-        Ok(s) => Ok(s
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad LSN sidecar {lsn_path}: {e}"))?),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// Opens a durable engine from a checkpoint directory + WAL: the newest
 /// valid binary snapshot is the base, records with higher LSNs replay
 /// on top, corrupt artifacts are quarantined on the way down, and a
@@ -618,59 +601,17 @@ fn snapshot_cmd(args: &Args, out: &mut dyn Write) -> CmdResult {
 }
 
 fn recover(args: &Args, out: &mut dyn Write) -> CmdResult {
-    // Checkpoint-directory mode: prefer the newest valid binary
-    // snapshot, replay the WAL tail, optionally save the state as an
-    // engine snapshot. The legacy `--snapshot FILE` sidecar path below
-    // stays as the compatibility route.
-    if let Some(dir) = args.optional("dir") {
-        let wal = args.required("wal")?;
-        let dims = parse_dims(args.required("dims")?)?;
-        let (d, report) = recover_from_dir(dir, wal, &dims)?;
-        writeln!(out, "{report}")?;
-        if let Some(out_path) = args.optional("out") {
-            save_atomic(out_path, |w| snapshot::save_rps(d.engine(), w))?;
-            writeln!(out, "saved recovered engine → {out_path}")?;
-        }
-        return Ok(());
+    // Newest valid binary snapshot, then the WAL tail past its LSN;
+    // optionally save the recovered state as an engine snapshot.
+    let dir = args.required("dir")?;
+    let wal = args.required("wal")?;
+    let dims = parse_dims(args.required("dims")?)?;
+    let (d, report) = recover_from_dir(dir, wal, &dims)?;
+    writeln!(out, "{report}")?;
+    if let Some(out_path) = args.optional("out") {
+        save_atomic(out_path, |w| snapshot::save_rps(d.engine(), w))?;
+        writeln!(out, "saved recovered engine → {out_path}")?;
     }
-    let snap_path = args.required("snapshot")?;
-    let wal_path = args.required("wal")?;
-    let out_path = args.optional("out").unwrap_or(snap_path);
-
-    let mut engine = snapshot::load_rps(BufReader::new(File::open(snap_path)?))?;
-    let applied_lsn = read_lsn_sidecar(snap_path)?;
-
-    // Repair first: trims any torn tail down to the last intact record,
-    // so the replay below only ever sees fully-written updates.
-    let len_before = std::fs::metadata(wal_path)?.len();
-    let records = rps_storage::Wal::repair(std::path::Path::new(wal_path))?;
-    let torn = len_before - std::fs::metadata(wal_path)?.len();
-
-    let mut replayed = 0usize;
-    let mut last_lsn = applied_lsn;
-    for rec in &records {
-        // The LSN filter makes recovery idempotent: records at or below
-        // the snapshot's LSN are already folded in and must not double-apply.
-        if rec.lsn <= applied_lsn {
-            continue;
-        }
-        engine.update(&rec.coords, rec.delta)?;
-        replayed += 1;
-        last_lsn = rec.lsn;
-    }
-
-    save_atomic(out_path, |w| snapshot::save_rps(&engine, w))?;
-    let lsn_tmp = format!("{out_path}.lsn.tmp");
-    std::fs::write(&lsn_tmp, format!("{last_lsn}\n"))?;
-    std::fs::rename(&lsn_tmp, format!("{out_path}.lsn"))?;
-
-    writeln!(
-        out,
-        "recovered {out_path}: {} WAL record(s), {replayed} replayed, {} already applied, \
-         {torn} torn byte(s) trimmed; snapshot LSN {applied_lsn} → {last_lsn}",
-        records.len(),
-        records.len() - replayed
-    )?;
     Ok(())
 }
 
@@ -1305,53 +1246,16 @@ mod tests {
     }
 
     #[test]
-    fn recover_replays_wal_and_is_idempotent() {
-        let cube = tmp("rec.cube");
-        let engine = tmp("rec.rps");
-        let wal = tmp("rec.wal");
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(format!("{engine}.lsn"));
-        run_capture(&["generate", "--dims", "8x8", "--seed", "7", "--out", &cube]);
-        run_capture(&["build", "--cube", &cube, "--k", "4", "--out", &engine]);
-        let before = query_sum(&engine, "0,0:7,7");
-
-        let mut w = rps_storage::Wal::open(std::path::Path::new(&wal)).unwrap();
-        w.append(&[1, 2], 10).unwrap();
-        w.append(&[3, 3], -4).unwrap();
-        w.append(&[7, 0], 25).unwrap();
-        w.sync().unwrap();
-        drop(w);
-
-        let (out, ok) = run_capture(&["recover", "--snapshot", &engine, "--wal", &wal]);
-        assert!(ok, "{out}");
-        assert!(out.contains("3 replayed"), "{out}");
-        assert!(out.contains("LSN 0 → 3"), "{out}");
-        assert_eq!(query_sum(&engine, "0,0:7,7"), before + 10 - 4 + 25);
-        let (v, ok) = run_capture(&["verify", "--file", &engine]);
-        assert!(ok, "{v}");
-
-        // Running recovery again replays nothing: the `.lsn` sidecar
-        // filters every record as already applied.
-        let (out, ok) = run_capture(&["recover", "--snapshot", &engine, "--wal", &wal]);
-        assert!(ok, "{out}");
-        assert!(out.contains("0 replayed"), "{out}");
-        assert!(out.contains("3 already applied"), "{out}");
-        assert_eq!(query_sum(&engine, "0,0:7,7"), before + 31);
-    }
-
-    #[test]
     fn recover_trims_torn_tail_before_replay() {
-        let cube = tmp("torn.cube");
-        let engine = tmp("torn.rps");
-        let wal = tmp("torn.wal");
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(format!("{engine}.lsn"));
-        run_capture(&["generate", "--dims", "8x8", "--out", &cube]);
-        run_capture(&["build", "--cube", &cube, "--out", &engine]);
-        let before = query_sum(&engine, "0,0:7,7");
+        let dir = tmp("torn-recover");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = format!("{dir}/cube.wal");
+        let engine = format!("{dir}/recovered.rps");
 
         let mut w = rps_storage::Wal::open(std::path::Path::new(&wal)).unwrap();
         w.append(&[2, 2], 5).unwrap();
+        w.append_range(&[0, 0], &[3, 3], 1).unwrap();
         w.sync().unwrap();
         drop(w);
         // A torn append: half a record of junk past the intact prefix.
@@ -1360,12 +1264,15 @@ mod tests {
         bytes.extend_from_slice(&[0xEE; 13]);
         std::fs::write(&wal, &bytes).unwrap();
 
-        let (out, ok) = run_capture(&["recover", "--snapshot", &engine, "--wal", &wal]);
+        let (out, ok) = run_capture(&[
+            "recover", "--dir", &dir, "--wal", &wal, "--dims", "8x8", "--out", &engine,
+        ]);
         assert!(ok, "{out}");
-        assert!(out.contains("13 torn byte(s) trimmed"), "{out}");
-        assert!(out.contains("1 replayed"), "{out}");
+        assert!(out.contains("2 records replayed"), "{out}");
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), intact as u64);
-        assert_eq!(query_sum(&engine, "0,0:7,7"), before + 5);
+        // The range record replays as a 4x4 box, not as one cell.
+        assert_eq!(query_sum(&engine, "0,0:7,7"), 5 + 16);
+        assert_eq!(query_sum(&engine, "3,3:3,3"), 1);
     }
 
     #[test]

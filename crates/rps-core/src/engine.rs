@@ -50,6 +50,22 @@ pub trait RangeSumEngine<T: GroupValue> {
         Ok(())
     }
 
+    /// Applies a batch of point updates, all or nothing: every
+    /// coordinate is checked before the first one is applied, so an
+    /// error leaves the cube untouched.
+    ///
+    /// Default: one [`Self::update`] per record. Engines that can apply
+    /// a batch more cheaply, or publish it as one unit, override it.
+    fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        for (coords, _) in updates {
+            self.shape().check(coords)?;
+        }
+        for (coords, delta) in updates {
+            self.update(coords, delta.clone())?;
+        }
+        Ok(())
+    }
+
     /// Running cell-access counters.
     fn stats(&self) -> CostStats;
 

@@ -35,11 +35,13 @@ use crate::sync_compat::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use ndcube::{NdCube, NdError, Region, Shape};
 
 use crate::corners::range_sum_from_prefix_with;
+use crate::engine::RangeSumEngine;
 use crate::rps::{
     effective_threads, kernels, overlay_prefix_part_src, overlay_range_walk, overlay_update_walk,
     rp_range_box, slab_sizes, with_scratch, BoxGrid, KernelScratch, OverlaySource, RpsEngine,
     Scratch,
 };
+use crate::stats::CostStats;
 use crate::value::GroupValue;
 
 /// The RPS structures of one immutable version, chunked into per-box-row
@@ -126,6 +128,33 @@ impl<T: GroupValue> Version<T> {
     /// The cube shape.
     pub fn shape(&self) -> &Shape {
         &self.data.shape
+    }
+
+    /// The overlay box size per dimension (the RP geometry).
+    pub fn box_size(&self) -> &[usize] {
+        self.data.grid.box_size()
+    }
+
+    /// Recovers the conceptual cube `A` this version represents: the RP
+    /// slabs concatenated in row-major order, then the backward in-box
+    /// sweeps of [`RpsEngine::to_cube`] — O(d·N), no overlay reads.
+    pub fn to_cube(&self) -> NdCube<T> {
+        let shape = &self.data.shape;
+        let mut cells = Vec::with_capacity(shape.len());
+        for slab in &self.data.rp_slabs {
+            cells.extend_from_slice(slab);
+        }
+        for dim in (0..shape.ndim()).rev() {
+            crate::prefix::sweep_dim_backward(
+                &mut cells,
+                shape.strides()[dim],
+                shape.dim(dim),
+                self.box_size()[dim],
+            );
+        }
+        NdCube::from_vec(shape.dims(), cells)
+            // lint:allow(L2): the slabs partition exactly the cells of this shape
+            .expect("view dims match cell count")
     }
 
     /// Range-sum query against this version (the paper's O(1) corner
@@ -709,10 +738,65 @@ impl<T: GroupValue + Send + Sync> VersionedEngine<T> {
     }
 }
 
+/// The common engine interface, delegating to the inherent methods: every
+/// write call publishes exactly one version, and
+/// [`RangeSumEngine::update_batch`] is [`VersionedEngine::apply_batch`],
+/// so readers never see part of a batch.
+///
+/// [`RangeSumEngine::stats`] reports [`VersionedEngine::write_count`],
+/// [`VersionedEngine::query_count`] and [`VersionedEngine::update_count`].
+/// Its `cell_reads` stays 0: queries run against published snapshots,
+/// which count no cell reads. [`RangeSumEngine::reset_stats`] zeroes the
+/// write and query counters; the update count is the current version's
+/// and does not rewind.
+impl<T: GroupValue> RangeSumEngine<T> for VersionedEngine<T> {
+    fn name(&self) -> &'static str {
+        "versioned"
+    }
+
+    fn shape(&self) -> &Shape {
+        VersionedEngine::shape(self)
+    }
+
+    fn query(&self, region: &Region) -> Result<T, NdError> {
+        VersionedEngine::query(self, region)
+    }
+
+    fn update(&mut self, coords: &[usize], delta: T) -> Result<(), NdError> {
+        VersionedEngine::update(self, coords, delta)
+    }
+
+    fn range_update(&mut self, region: &Region, delta: T) -> Result<(), NdError> {
+        VersionedEngine::range_update(self, region, delta)
+    }
+
+    fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        self.apply_batch(updates)
+    }
+
+    fn stats(&self) -> CostStats {
+        CostStats {
+            cell_reads: 0,
+            cell_writes: self.write_count(),
+            queries: self.query_count(),
+            updates: self.update_count(),
+        }
+    }
+
+    fn reset_stats(&self) {
+        self.inner.queries.store(0, Ordering::Relaxed);
+        self.inner.cell_writes.store(0, Ordering::Relaxed);
+    }
+
+    fn storage_cells(&self) -> usize {
+        let v = self.snapshot();
+        v.data.shape.len() + v.data.ov_base.last().copied().unwrap_or(0)
+    }
+}
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::engine::RangeSumEngine;
     use crate::testdata::paper_array_a;
 
     fn paper_versioned() -> VersionedEngine<i64> {

@@ -9,6 +9,7 @@ use ndcube::{NdCube, Region, Shape};
 use proptest::prelude::*;
 use rps_core::{
     BlockedFenwickEngine, FenwickEngine, NaiveEngine, PrefixSumEngine, RangeSumEngine, RpsEngine,
+    VersionedEngine,
 };
 
 /// A random cube of 1..=4 dimensions with small per-dimension sizes,
@@ -117,6 +118,21 @@ proptest! {
         let cube = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
         let engine = FenwickEngine::from_cube(&cube);
         run_against_naive(engine, &sc);
+    }
+
+    #[test]
+    fn versioned_matches_naive(sc in scenario()) {
+        let mut cube = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
+        let engine = VersionedEngine::new(
+            RpsEngine::from_cube_with_box_size(&cube, &sc.box_size).unwrap(),
+        );
+        let handle = engine.clone();
+        run_against_naive(engine, &sc);
+        for (c, delta) in &sc.updates {
+            let old = cube.get(c);
+            cube.set(c, old + *delta);
+        }
+        prop_assert_eq!(handle.snapshot().to_cube(), cube);
     }
 
     #[test]
@@ -308,6 +324,13 @@ proptest! {
     }
 
     #[test]
+    fn versioned_range_updates_match_oracle(sc in range_scenario()) {
+        let cube = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
+        let engine = RpsEngine::from_cube_with_box_size(&cube, &sc.box_size).unwrap();
+        run_range_ops(VersionedEngine::new(engine), &sc);
+    }
+
+    #[test]
     fn fenwick_range_updates_match_oracle(sc in range_scenario()) {
         let cube = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
         run_range_ops(FenwickEngine::from_cube(&cube), &sc);
@@ -353,6 +376,10 @@ fn range_update_edge_regions_all_engines() {
     run_range_ops(PrefixSumEngine::from_cube(&cube), &sc);
     run_range_ops(
         RpsEngine::from_cube_with_box_size(&cube, &sc.box_size).unwrap(),
+        &sc,
+    );
+    run_range_ops(
+        VersionedEngine::new(RpsEngine::from_cube_with_box_size(&cube, &sc.box_size).unwrap()),
         &sc,
     );
     run_range_ops(FenwickEngine::from_cube(&cube), &sc);

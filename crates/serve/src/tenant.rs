@@ -1,14 +1,15 @@
-//! Named per-tenant cubes: a snapshot read engine, an optional
-//! durable write path, and admission state.
+//! Named per-tenant cubes: one [`VersionedEngine`] per tenant —
+//! WAL-fronted when durable — and admission state.
 //!
-//! Reads never take a tenant lock — they run against
-//! [`VersionedEngine`] published snapshots (PR 7's MVCC-lite path).
-//! Writes serialize per tenant behind the durable mutex: the WAL append
-//! happens first, then the same delta is applied to the versioned
-//! engine and published, then the snapshot policy is consulted. The
-//! versioned engine therefore never reflects an update the WAL could
-//! lose, and a crash between WAL append and publish is repaired by
-//! recovery exactly like any other torn write.
+//! Reads never take a tenant lock — they run against the engine's
+//! published snapshots. A durable tenant's cube is a
+//! `DurableEngine<VersionedEngine<i64>>`, and [`Tenant::versioned`] is
+//! a handle to that same engine. Writes serialize per tenant behind the
+//! durable mutex: the WAL append happens first, then the engine applies
+//! the write once and publishes it, then the snapshot policy is
+//! consulted. Readers therefore never see an update the WAL could lose,
+//! and a crash between WAL append and publish is repaired by recovery
+//! exactly like any other torn write.
 //!
 //! The registry hosts up to `max_tenants` tenants; provisioning one
 //! past the cap evicts the least-recently-used tenant (after a
@@ -16,8 +17,9 @@
 //!
 //! Lock classes, outermost first:
 //! `reserved` (in-flight creations), then `tenants` (registry map),
-//! then any per-tenant `durable` mutex. `reserved` and `tenants` are
-//! never held together.
+//! then any per-tenant `durable` mutex, then the versioned engine's own
+//! `writer` mutex and `current` lock (a checkpoint only read-locks
+//! `current`). `reserved` and `tenants` are never held together.
 // lock-order: reserved < tenants < durable
 
 use std::collections::{HashMap, HashSet};
@@ -33,12 +35,13 @@ use rps_storage::{
 use crate::quota::{QuotaState, TenantQuota};
 use crate::wire::{RejectCode, TenantStats};
 
-/// The durable half of a tenant: WAL-backed engine plus its snapshot
-/// directory, serialized behind one mutex (writes are per-tenant
-/// serial by design — the paper's update cost dominates the lock).
+/// The durable half of a tenant: the WAL-fronted versioned engine plus
+/// its snapshot directory, serialized behind one mutex (writes are
+/// per-tenant serial by design — the paper's update cost dominates the
+/// lock).
 #[derive(Debug)]
 pub struct DurableTenant {
-    engine: DurableEngine<RpsEngine<i64>>,
+    engine: DurableEngine<VersionedEngine<i64>>,
     store: FsSnapshotDir,
     last_checkpoint_lsn: u64,
 }
@@ -47,6 +50,8 @@ pub struct DurableTenant {
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
+    /// The tenant's cube; for a durable tenant, a handle to the engine
+    /// its [`DurableTenant`] logs for.
     versioned: VersionedEngine<i64>,
     durable: Option<Mutex<DurableTenant>>,
     quota: QuotaState,
@@ -79,18 +84,17 @@ impl Tenant {
         self.durable.is_some()
     }
 
-    /// Applies one point update: WAL-first when durable, then the
+    /// Applies one point update: WAL-first when durable, then one
     /// versioned publish.
     pub fn update(&self, coords: &[usize], delta: i64) -> Result<(), ServeError> {
         if let Some(durable) = &self.durable {
             let mut d = lock_durable(durable);
-            d.engine.update(coords, delta)?;
-            self.versioned.update(coords, delta)?;
             let DurableTenant {
                 engine,
                 store,
                 last_checkpoint_lsn,
             } = &mut *d;
+            engine.update(coords, delta)?;
             // lint:allow(L7): the WAL-first contract requires the policy-
             // driven checkpoint to run under the same per-tenant write lock
             // that ordered the update; snapshot I/O here is the feature.
@@ -103,21 +107,20 @@ impl Tenant {
         Ok(())
     }
 
-    /// Applies a batch atomically on both paths: readers observe all
-    /// updates or none, and the durable side validates every record
-    /// before the first WAL append (rolling the whole batch back on any
-    /// append failure) — so a rejected batch leaves no durable trace to
-    /// reappear at the next checkpoint or restart.
+    /// Applies a batch atomically as one published version: readers
+    /// observe all updates or none. When durable, every record is
+    /// validated before the first WAL append (and the whole batch is
+    /// rolled back on any append failure) — so a rejected batch leaves
+    /// no durable trace to reappear at the next checkpoint or restart.
     pub fn batch_update(&self, updates: &[(Vec<usize>, i64)]) -> Result<(), ServeError> {
         if let Some(durable) = &self.durable {
             let mut d = lock_durable(durable);
-            d.engine.update_batch(updates)?;
-            self.versioned.apply_batch(updates)?;
             let DurableTenant {
                 engine,
                 store,
                 last_checkpoint_lsn,
             } = &mut *d;
+            engine.update_batch(updates)?;
             // lint:allow(L7): see Tenant::update — checkpointing is the
             // reason this lock exists.
             if let Some(lsn) = engine.maybe_checkpoint(store)? {
@@ -169,9 +172,10 @@ impl Tenant {
 fn lock_durable(m: &Mutex<DurableTenant>) -> std::sync::MutexGuard<'_, DurableTenant> {
     match m.lock() {
         Ok(g) => g,
-        // A panic while holding the durable lock cannot leave the pair
-        // torn in a way recovery doesn't already handle (WAL-first), so
-        // serve on rather than wedging the tenant.
+        // A panic while holding the durable lock cannot leave the WAL
+        // and the published cube disagreeing in a way recovery doesn't
+        // already handle (WAL-first), so serve on rather than wedging
+        // the tenant.
         Err(poisoned) => poisoned.into_inner(),
     }
 }
@@ -382,7 +386,7 @@ impl Registry {
             Persistence::Ephemeral => (VersionedEngine::zeros(dims)?, None),
             Persistence::Durable { root, policy } => {
                 let (d, _report) = recover_tenant(root, name, dims, *policy)?;
-                let versioned = VersionedEngine::new(d.engine.engine().clone());
+                let versioned = d.engine.engine().clone();
                 (versioned, Some(Mutex::new(d)))
             }
         };
@@ -412,6 +416,9 @@ impl Registry {
 
 /// Recovers (or freshly creates) one tenant's durable state under
 /// `<root>/<name>/`: snapshot chain in `snapshots/`, WAL in `wal.log`.
+/// Replay runs on the serial [`RpsEngine`], which is then moved into the
+/// served [`VersionedEngine`] once — replaying straight into it would
+/// publish a version (and copy a slab) per record.
 fn recover_tenant(
     root: &Path,
     name: &str,
@@ -426,9 +433,10 @@ fn recover_tenant(
     })?;
     let wal_path = dir.join("wal.log");
     let dims_owned = dims.to_vec();
-    let (mut engine, report) = DurableEngine::recover(&snap_dir, &wal_path, move || {
+    let (engine, report) = DurableEngine::recover(&snap_dir, &wal_path, move || {
         RpsEngine::zeros(&dims_owned).map_err(StorageError::Engine)
     })?;
+    let mut engine = engine.map_engine(VersionedEngine::new);
     engine.set_snapshot_policy(policy);
     let store = FsSnapshotDir::open(&snap_dir)?;
     let last_checkpoint_lsn = store.list()?.last().copied().unwrap_or(0);
@@ -623,5 +631,53 @@ mod tests {
         assert_eq!(t.versioned().current_version(), before + 1);
         let snap = t.versioned().snapshot();
         assert_eq!(snap.total(), 3);
+    }
+
+    #[test]
+    fn durable_tenant_serves_and_logs_one_engine() {
+        let root = tmp("one-engine");
+        let persistence = Persistence::Durable {
+            root: root.clone(),
+            policy: SnapshotPolicy {
+                max_wal_bytes: None,
+                max_records: Some(4),
+                retain: 2,
+            },
+        };
+        let batch: Vec<(Vec<usize>, i64)> = vec![
+            (vec![0, 0], 1),
+            (vec![1, 2], 2),
+            (vec![3, 3], 4),
+            (vec![7, 7], 8),
+        ];
+        {
+            let reg = Registry::new(persistence.clone(), TenantQuota::default(), 0);
+            reg.create("a", &[8, 8]).unwrap();
+            let t = reg.get("a").unwrap();
+            let before = t.versioned().current_version();
+            t.batch_update(&batch).unwrap();
+            assert_eq!(
+                t.versioned().current_version(),
+                before + 1,
+                "one apply, one version"
+            );
+            let durable = lock_durable(t.durable.as_ref().unwrap());
+            assert!(
+                Arc::ptr_eq(
+                    &t.versioned().snapshot(),
+                    &durable.engine.engine().snapshot()
+                ),
+                "the served engine and the logged engine must be one"
+            );
+            // The policy trigger survived `map_engine`: the batch cut one.
+            assert_eq!(durable.last_checkpoint_lsn, 4);
+        }
+        // Replay starts past the snapshot at LSN 4, so only the snapshot
+        // holds the batch: the same total proves it captured the
+        // published version.
+        let reg = Registry::new(persistence, TenantQuota::default(), 0);
+        reg.create("a", &[8, 8]).unwrap();
+        assert_eq!(reg.get("a").unwrap().versioned().total(), 15);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

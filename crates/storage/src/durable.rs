@@ -18,19 +18,21 @@
 //!
 //! Because recovery filters by LSN, a crash *anywhere* — including
 //! mid-snapshot-write — replays exactly the updates the loaded snapshot
-//! does not contain: no loss, no double-apply.
-//!
-//! **Compatibility path**: [`DurableEngine::open`] /
-//! [`DurableEngine::open_log`] predate the snapshot format. There the
-//! caller supplies the base engine *and the LSN its state includes*,
-//! stored durably out-of-band (a sidecar file, a filename suffix, …) —
-//! a footgun the snapshot header removes, kept for callers with their
-//! own persistence format; [`checkpoint`](DurableEngine::checkpoint) is
-//! its caller-managed persist hook, and the only path that truncates
-//! the WAL. `checkpoint_to` deliberately does **not** truncate: the
-//! intact log is what lets a later recovery fall past a corrupt
+//! does not contain: no loss, no double-apply. Nothing truncates the
+//! WAL: the intact log is what lets a later recovery fall past a corrupt
 //! snapshot all the way to full replay, so corruption can only make
 //! recovery slower, never lossy.
+//!
+//! [`DurableEngine::open`] / [`DurableEngine::open_log`] start from a
+//! base engine the caller supplies together with the LSN its state
+//! already includes (0 for a fresh cube); tests and the torture harness
+//! use them to start from a known base.
+//!
+//! The wrapped engine can be the served [`rps_core::VersionedEngine`]
+//! itself: each logged write is then applied once and published as one
+//! version, a batch included ([`RangeSumEngine::update_batch`]).
+//! Recover on the serial [`rps_core::RpsEngine`] and move the result in
+//! with [`DurableEngine::map_engine`], so replay publishes no versions.
 //!
 //! Failure semantics (see `docs/DURABILITY.md`): a failed append is
 //! rolled back, so an update that returns an error was **not** applied
@@ -44,7 +46,7 @@ use std::path::Path;
 use ndcube::Region;
 use rps_core::{CostStats, RangeSumEngine};
 
-use crate::error::{CheckpointError, RetryPolicy, StorageError};
+use crate::error::{RetryPolicy, StorageError};
 use crate::snapshot::{
     decode_snapshot, encode_snapshot, FsSnapshotDir, RecoveryReport, RecoverySource,
     SnapshotCheckFailed, SnapshotPolicy, SnapshotState, SnapshotStore,
@@ -76,7 +78,7 @@ fn replay_record<E: RangeSumEngine<i64>>(
 /// # std::fs::create_dir_all(&dir)?;
 /// # let wal_path = dir.join("ops.wal");
 /// # let _ = std::fs::remove_file(&wal_path);
-/// // Fresh structure, nothing checkpointed yet → snapshot_lsn = 0.
+/// // Fresh structure, no record applied yet → base LSN 0.
 /// let base = NdCube::from_fn(&[8, 8], |_| 0i64)?;
 /// let mut durable = DurableEngine::open(RpsEngine::from_cube(&base), &wal_path, 0)?;
 /// durable.update(&[3, 4], 250)?;   // WAL append happens first
@@ -111,14 +113,14 @@ pub struct DurableEngine<E, L: LogFile = FsLogFile> {
 }
 
 impl<E: RangeSumEngine<i64>> DurableEngine<E, FsLogFile> {
-    /// **Compatibility path** — wraps `engine`, the state of a
-    /// checkpoint whose LSN the caller stored out-of-band (0 for a
-    /// fresh structure), and replays WAL records with LSN >
-    /// `snapshot_lsn` onto it. Repairs a torn tail left by a crash.
+    /// Wraps `engine`, whose state already includes every WAL record up
+    /// to `snapshot_lsn` (0 for a fresh structure), and replays the newer
+    /// records of the log at `wal_path` onto it. Repairs a torn tail left
+    /// by a crash.
     ///
-    /// New code should prefer [`DurableEngine::recover`]: `RPSSNAP1`
-    /// snapshots carry their LSN in the header, so recovery needs no
-    /// out-of-band LSN and survives a corrupt snapshot chain.
+    /// Services restart through [`DurableEngine::recover`] instead: an
+    /// `RPSSNAP1` snapshot carries its LSN in its header, and recovery
+    /// falls past a corrupt snapshot chain.
     pub fn open(
         engine: E,
         wal_path: &Path,
@@ -144,8 +146,8 @@ impl<E: RangeSumEngine<i64> + SnapshotState> DurableEngine<E, FsLogFile> {
 }
 
 impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
-    /// [`Self::open`] over any [`LogFile`] — the entry point the fault
-    /// harness uses with a [`crate::SimLogFile`].
+    /// [`Self::open`] over any [`LogFile`] — how the fault harness starts
+    /// from a known base over a [`crate::SimLogFile`].
     pub fn open_log(
         mut engine: E,
         log: L,
@@ -155,9 +157,9 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
         for rec in records.iter().filter(|r| r.lsn > snapshot_lsn) {
             replay_record(&mut engine, rec)?;
         }
-        // After a checkpoint truncated the log, a reopened counter would
-        // restart below snapshot_lsn and recovery would later discard new
-        // records; pin the floor to the snapshot's LSN.
+        // A log that lost its records (or never had them) would restart
+        // the counter below snapshot_lsn, and recovery would later
+        // discard the new records; pin the floor to the base's LSN.
         wal.ensure_lsn_after(snapshot_lsn);
         let wal_len = wal.len();
         Ok(DurableEngine {
@@ -169,6 +171,22 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             wal_len_at_checkpoint: wal_len,
             records_since_checkpoint: 0,
         })
+    }
+
+    /// Moves the wrapped engine through `f` — e.g. a recovered serial
+    /// [`rps_core::RpsEngine`] into the [`rps_core::VersionedEngine`]
+    /// that serves it — keeping the WAL, the LSN counter, the retry and
+    /// snapshot policies and the checkpoint-trigger state.
+    pub fn map_engine<F>(self, f: impl FnOnce(E) -> F) -> DurableEngine<F, L> {
+        DurableEngine {
+            engine: f(self.engine),
+            wal: self.wal,
+            sync_every_append: self.sync_every_append,
+            retry: self.retry,
+            policy: self.policy,
+            wal_len_at_checkpoint: self.wal_len_at_checkpoint,
+            records_since_checkpoint: self.records_since_checkpoint,
+        }
     }
 
     /// Replaces the automatic-checkpoint policy consulted by
@@ -288,7 +306,9 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
     /// returns an error was therefore **not** applied — in whole or in
     /// part — and leaves no durable trace to resurface at recovery,
     /// which is what lets a server promise rejected-means-not-applied
-    /// for client batches.
+    /// for client batches. The records are then applied through
+    /// [`RangeSumEngine::update_batch`], so a versioned engine publishes
+    /// the batch as one version.
     pub fn update_batch(&mut self, updates: &[(Vec<usize>, i64)]) -> Result<(), StorageError> {
         let m = rps_core::obs::engine(rps_core::obs::EngineKind::Durable);
         m.batches.inc();
@@ -329,11 +349,9 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             }
         }
         // Shape-checked above, so structural application cannot fail.
-        for (coords, delta) in updates {
-            self.engine
-                .update(coords, *delta)
-                .map_err(StorageError::Engine)?;
-        }
+        self.engine
+            .update_batch(updates)
+            .map_err(StorageError::Engine)?;
         self.records_since_checkpoint += u64::try_from(updates.len()).unwrap_or(u64::MAX);
         Ok(())
     }
@@ -344,33 +362,6 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
         m.queries.inc();
         let _span = rps_obs::Span::enter("durable.query", &m.query_ns);
         self.engine.query(region).map_err(StorageError::Engine)
-    }
-
-    /// **Compatibility path** — caller-managed checkpoint: `persist`
-    /// receives the engine and the LSN this snapshot includes, and must
-    /// durably save **both** (the LSN out-of-band). On success the WAL
-    /// is truncated (replay-time optimization only — recovery is
-    /// already correct without it, thanks to the LSN filter).
-    ///
-    /// Truncation makes this incompatible with a retained snapshot
-    /// chain: records older checkpoints would need for fallback are
-    /// gone. Use [`Self::checkpoint_to`] for chain-aware checkpoints.
-    pub fn checkpoint<Err>(
-        &mut self,
-        persist: impl FnOnce(&E, u64) -> Result<(), Err>,
-    ) -> Result<u64, CheckpointError<Err>> {
-        {
-            let retry = self.retry;
-            let wal = &mut self.wal;
-            retry.run(|| wal.sync()).map_err(CheckpointError::Storage)?;
-        }
-        let lsn = self.wal.last_lsn();
-        persist(&self.engine, lsn).map_err(CheckpointError::Persist)?;
-        self.wal.checkpoint().map_err(CheckpointError::Storage)?;
-        crate::obs::storage().checkpoints.inc();
-        self.wal_len_at_checkpoint = 0;
-        self.records_since_checkpoint = 0;
-        Ok(lsn)
     }
 
     /// LSN of the most recent logged update (0 when none ever).
@@ -411,11 +402,10 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
     /// retention. Returns the checkpoint LSN.
     ///
     /// The WAL is synced first (so the snapshot never gets *ahead* of
-    /// the durable log) but — unlike the legacy [`Self::checkpoint`] —
-    /// **never truncated**: bounded recovery time comes from starting
-    /// replay at the snapshot's LSN, and the intact log is exactly what
-    /// lets [`Self::recover_with`] fall past a corrupt snapshot all the
-    /// way to full replay with no data loss.
+    /// the durable log) but **never truncated**: bounded recovery time
+    /// comes from starting replay at the snapshot's LSN, and the intact
+    /// log is exactly what lets [`Self::recover_with`] fall past a
+    /// corrupt snapshot all the way to full replay with no data loss.
     ///
     /// A failed snapshot write leaves recovery no worse than before the
     /// call: the WAL still holds everything, and any partial artifact
@@ -566,7 +556,6 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rps_core::snapshot;
     use rps_core::RpsEngine;
     use std::path::PathBuf;
 
@@ -580,24 +569,6 @@ mod tests {
 
     fn full() -> Region {
         Region::new(&[0, 0], &[7, 7]).unwrap()
-    }
-
-    /// Persists snapshot + LSN sidecar the way a real caller would.
-    fn persist_with_lsn(
-        e: &RpsEngine<i64>,
-        lsn: u64,
-        snap: &Path,
-    ) -> Result<(), snapshot::SnapshotError> {
-        snapshot::save_rps(e, std::fs::File::create(snap).unwrap())?;
-        std::fs::write(snap.with_extension("lsn"), lsn.to_string()).unwrap();
-        Ok(())
-    }
-
-    fn load_with_lsn(snap: &Path) -> (RpsEngine<i64>, u64) {
-        let engine = snapshot::load_rps(std::fs::File::open(snap).unwrap()).unwrap();
-        let lsn: u64 = std::fs::read_to_string(snap.with_extension("lsn"))
-            .map_or(0, |s| s.trim().parse().unwrap());
-        (engine, lsn)
     }
 
     #[test]
@@ -630,105 +601,36 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_checkpoint_recovers_from_wal() {
-        let wal = tmp("crash.wal");
-        let snap = tmp("crash.rps");
-
-        {
-            let mut d =
-                DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
-            d.checkpoint(|e, lsn| persist_with_lsn(e, lsn, &snap))
-                .unwrap();
-            d.update(&[2, 2], 10).unwrap();
-            d.update(&[5, 5], 32).unwrap();
-            // dropped here without another checkpoint
-        }
-
-        let (base, lsn) = load_with_lsn(&snap);
-        let d = DurableEngine::open(base, &wal, lsn).unwrap();
-        assert_eq!(d.query(&full()).unwrap(), 42);
-    }
-
-    #[test]
-    fn crash_between_persist_and_truncate_does_not_double_apply() {
-        // The window the LSN filter exists for: the snapshot succeeded
-        // but the WAL truncation never ran (persist returns Err AFTER
-        // durably saving, simulating a crash at exactly that point).
-        let wal = tmp("window.wal");
-        let snap = tmp("window.rps");
-
-        {
-            let mut d =
-                DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
-            d.update(&[1, 1], 100).unwrap();
-            // Persist succeeds durably, then "crash" before truncation.
-            let result: Result<u64, _> = d.checkpoint(|e, lsn| {
-                persist_with_lsn(e, lsn, &snap).unwrap();
-                Err(()) // simulate dying before checkpoint() truncates
-            });
-            assert!(matches!(result, Err(CheckpointError::Persist(()))));
-            assert!(d.wal_bytes() > 0, "WAL must still hold the record");
-        }
-
-        // Recovery: snapshot already CONTAINS the +100; the WAL record
-        // for it (lsn 1) must be skipped, not re-applied.
-        let (base, lsn) = load_with_lsn(&snap);
-        assert_eq!(lsn, 1);
-        let d = DurableEngine::open(base, &wal, lsn).unwrap();
-        assert_eq!(d.query(&full()).unwrap(), 100, "double-apply detected");
-    }
-
-    #[test]
     fn updates_after_checkpoint_and_restart_survive_next_recovery() {
-        // Regression (found in review): session 1 checkpoints (lsn 3,
-        // WAL truncated) and shuts down cleanly; session 2 reopens and
-        // applies more updates; session 3 recovers. Without an LSN floor
-        // the session-2 records get LSNs 1.. and are filtered out.
-        let wal = tmp("restartlsn.wal");
-        let snap = tmp("restartlsn.rps");
+        // Regression (found in review): session 1 checkpoints at LSN 3
+        // and its WAL is lost; session 2 recovers from the snapshot alone
+        // and applies more updates; session 3 recovers. Without an LSN
+        // floor the session-2 records get LSNs 1.. and are filtered out.
+        let dir = tmp_dir("restartlsn");
+        let wal = dir.join("ops.wal");
+        let snaps = dir.join("snaps");
 
         // Session 1.
         {
-            let mut d =
-                DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
+            let mut d = DurableEngine::open(fresh_8x8().unwrap(), &wal, 0).unwrap();
             d.update(&[0, 0], 1).unwrap();
             d.update(&[0, 1], 2).unwrap();
             d.update(&[0, 2], 4).unwrap();
-            d.checkpoint(|e, lsn| persist_with_lsn(e, lsn, &snap))
-                .unwrap();
+            let mut store = FsSnapshotDir::open(&snaps).unwrap();
+            assert_eq!(d.checkpoint_to(&mut store).unwrap(), 3);
         }
+        std::fs::remove_file(&wal).unwrap();
         // Session 2: more updates, no checkpoint ("crash" at the end).
         {
-            let (base, lsn) = load_with_lsn(&snap);
-            assert_eq!(lsn, 3);
-            let mut d = DurableEngine::open(base, &wal, lsn).unwrap();
+            let (mut d, report) = DurableEngine::recover(&snaps, &wal, fresh_8x8).unwrap();
+            assert_eq!(report.source, RecoverySource::Snapshot(3));
             d.update(&[1, 0], 8).unwrap();
             d.update(&[1, 1], 16).unwrap();
             assert_eq!(d.last_lsn(), 5, "LSNs must continue past the snapshot");
         }
         // Session 3: recovery must include the session-2 updates.
-        let (base, lsn) = load_with_lsn(&snap);
-        let d = DurableEngine::open(base, &wal, lsn).unwrap();
+        let (d, _) = DurableEngine::recover(&snaps, &wal, fresh_8x8).unwrap();
         assert_eq!(d.query(&full()).unwrap(), 31);
-    }
-
-    #[test]
-    fn checkpoint_clears_wal() {
-        let wal = tmp("ckpt.wal");
-        let snap = tmp("ckpt.rps");
-        let mut d =
-            DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
-        d.update(&[1, 1], 7).unwrap();
-        assert!(d.wal_bytes() > 0);
-        let lsn = d
-            .checkpoint(|e, lsn| persist_with_lsn(e, lsn, &snap))
-            .unwrap();
-        assert_eq!(lsn, 1);
-        assert_eq!(d.wal_bytes(), 0);
-
-        let (base, lsn) = load_with_lsn(&snap);
-        let d2 = DurableEngine::open(base, &wal, lsn).unwrap();
-        assert_eq!(d2.query(&full()).unwrap(), 7);
     }
 
     #[test]
@@ -827,22 +729,6 @@ mod tests {
         assert_eq!(report.source, RecoverySource::Snapshot(1));
         assert_eq!(report.replayed, 1, "only the post-checkpoint range record");
         assert_eq!(d.query(&full()).unwrap(), 44, "no loss, no double-apply");
-    }
-
-    #[test]
-    fn failed_checkpoint_keeps_wal() {
-        let wal = tmp("fail.wal");
-        let mut d =
-            DurableEngine::open(RpsEngine::<i64>::zeros(&[8, 8]).unwrap(), &wal, 0).unwrap();
-        d.update(&[3, 3], 5).unwrap();
-        let before = d.wal_bytes();
-        let result: Result<u64, _> = d.checkpoint(|_, _| Err("disk full"));
-        assert!(matches!(result, Err(CheckpointError::Persist("disk full"))));
-        assert_eq!(
-            d.wal_bytes(),
-            before,
-            "WAL must survive a failed checkpoint"
-        );
     }
 
     #[test]
@@ -1007,5 +893,30 @@ mod tests {
         .unwrap();
         assert_eq!(report.source, RecoverySource::Snapshot(12));
         assert_eq!(r.query(&full()).unwrap(), 12);
+    }
+
+    #[test]
+    fn map_engine_keeps_log_and_trigger_state() {
+        let dir = tmp_dir("map-engine");
+        let wal = dir.join("ops.wal");
+        let snaps = dir.join("snaps");
+        let mut d = DurableEngine::open(fresh_8x8().unwrap(), &wal, 0).unwrap();
+        d.set_snapshot_policy(SnapshotPolicy {
+            max_wal_bytes: None,
+            max_records: Some(4),
+            retain: 2,
+        });
+        d.update(&[0, 0], 1).unwrap();
+        d.update(&[1, 1], 2).unwrap();
+        let mut d = d.map_engine(rps_core::VersionedEngine::new);
+        assert_eq!((d.last_lsn(), d.records_since_checkpoint()), (2, 2));
+        d.update_batch(&[(vec![2, 2], 4), (vec![3, 3], 8)]).unwrap();
+        assert_eq!(d.engine().current_version(), 1, "one batch, one version");
+        let mut store = FsSnapshotDir::open(&snaps).unwrap();
+        assert_eq!(d.maybe_checkpoint(&mut store).unwrap(), Some(4));
+        let (r, report) = DurableEngine::recover(&snaps, &wal, fresh_8x8).unwrap();
+        assert_eq!(report.source, RecoverySource::Snapshot(4));
+        assert_eq!(report.replayed, 0);
+        assert_eq!(r.query(&full()).unwrap(), 15);
     }
 }

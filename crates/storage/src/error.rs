@@ -220,29 +220,6 @@ impl RetryPolicy {
     }
 }
 
-/// Why a checkpoint failed: either the storage machinery (WAL sync /
-/// truncate) or the caller's persistence action.
-#[derive(Debug)]
-pub enum CheckpointError<E> {
-    /// WAL sync or truncation failed.
-    Storage(StorageError),
-    /// The caller's `persist` callback failed; the WAL is untouched, so
-    /// no updates are lost — the next checkpoint retries from the same
-    /// state.
-    Persist(E),
-}
-
-impl<E: fmt::Display> fmt::Display for CheckpointError<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Storage(e) => write!(f, "checkpoint storage failure: {e}"),
-            CheckpointError::Persist(e) => write!(f, "checkpoint persist failure: {e}"),
-        }
-    }
-}
-
-impl<E: fmt::Debug + fmt::Display> std::error::Error for CheckpointError<E> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

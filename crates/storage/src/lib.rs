@@ -53,7 +53,7 @@ pub use device::{BlockDevice, DeviceConfig, DeviceStats, PageId};
 pub use disk_array::{DiskArray, Layout};
 pub use diskrps::{DiskRpsEngine, ScrubReport};
 pub use durable::DurableEngine;
-pub use error::{to_nd_error, CheckpointError, RetryPolicy, StorageError};
+pub use error::{to_nd_error, RetryPolicy, StorageError};
 pub use fault::{FaultPlan, FaultyStore, SimLogFile, SimLogHandle, SimRng, SimSnapshotStore};
 pub use file_device::{FileDevice, PageStore, PodCell};
 pub use latency::LatencyModel;

@@ -379,6 +379,22 @@ impl SnapshotState for rps_core::RpsEngine<i64> {
     }
 }
 
+impl SnapshotState for rps_core::VersionedEngine<i64> {
+    /// Captures one pinned version: later publishes cannot tear it.
+    fn capture(&self) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
+        let version = self.snapshot();
+        (
+            version.shape().dims().to_vec(),
+            version.box_size().to_vec(),
+            version.to_cube().into_vec(),
+        )
+    }
+
+    fn restore(dims: &[usize], box_size: &[usize], cells: Vec<i64>) -> Result<Self, StorageError> {
+        rps_core::RpsEngine::restore(dims, box_size, cells).map(rps_core::VersionedEngine::new)
+    }
+}
+
 impl SnapshotState for rps_core::NaiveEngine<i64> {
     fn capture(&self) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
         use rps_core::RangeSumEngine;
@@ -771,5 +787,22 @@ mod tests {
         let restored = RpsEngine::<i64>::restore(&dims, &box_size, cells).unwrap();
         assert_eq!(restored.to_cube(), cube);
         assert_eq!(restored.grid().box_size(), &[3, 2]);
+    }
+
+    #[test]
+    fn versioned_engine_capture_restore_round_trip() {
+        use rps_core::{RangeSumEngine, RpsEngine, VersionedEngine};
+        let cube = ndcube::NdCube::from_fn(&[6, 4], |c| (c[0] * 10 + c[1]) as i64).unwrap();
+        let e = VersionedEngine::new(RpsEngine::from_cube_with_box_size(&cube, &[3, 2]).unwrap());
+        e.update(&[4, 1], 7).unwrap();
+        let (dims, box_size, cells) = e.capture();
+        assert_eq!(
+            (dims.as_slice(), box_size.as_slice()),
+            (&[6, 4][..], &[3, 2][..])
+        );
+        let restored = VersionedEngine::<i64>::restore(&dims, &box_size, cells).unwrap();
+        assert_eq!(restored.snapshot().box_size(), &[3, 2]);
+        assert_eq!(restored.materialize(), e.materialize());
+        assert_eq!(restored.cell(&[4, 1]).unwrap(), 48);
     }
 }

@@ -4,10 +4,12 @@
 //! must be queryable *now* — but an in-memory overlay and a buffer pool
 //! full of dirty pages lose updates on a crash. The WAL closes the gap
 //! the standard way: every update is appended (checksummed, with a
-//! monotone LSN) to a log before being applied; a checkpoint snapshots
-//! the state *together with the LSN it includes*; recovery replays only
-//! records newer than the snapshot's LSN — so the crash window between
-//! "snapshot persisted" and "log truncated" can never double-apply.
+//! monotone LSN) to a log before being applied; a checkpoint writes an
+//! `RPSSNAP1` snapshot whose header carries the LSN it includes; recovery
+//! replays only records newer than that LSN, so a record the snapshot
+//! already holds is never applied twice. Nothing trims acknowledged
+//! records from the log: it stays the full-replay floor when every
+//! snapshot is corrupt.
 //!
 //! Record framing (little-endian):
 //!
@@ -39,8 +41,7 @@
 //!
 //! Durability policy: appends land in the OS page cache; call
 //! [`Wal::sync`] to force them to the device (per-append for strict
-//! durability, or at interval for group commit). [`Wal::checkpoint`]
-//! syncs its truncation.
+//! durability, or at interval for group commit).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -503,27 +504,16 @@ impl<L: LogFile> Wal<L> {
     /// Raises the LSN counter to at least `lsn + 1`.
     ///
     /// The counter lives in memory and is re-derived from surviving
-    /// records at [`Self::open`]; after a checkpoint truncated the log
-    /// and the process restarted, an empty log would restart LSNs at 1 —
-    /// *below* the checkpoint's LSN — and recovery's `> snapshot_lsn`
-    /// filter would silently discard every subsequent update. Callers
-    /// that persist a checkpoint LSN (e.g. [`crate::DurableEngine`])
-    /// must restore the floor through this method when reopening.
+    /// records at [`Self::open`]; when the log lost records a snapshot
+    /// already holds (or was replaced by an empty file), it would restart
+    /// LSNs *below* the snapshot's LSN, and recovery's `> snapshot_lsn`
+    /// filter would silently discard every subsequent update.
+    /// [`crate::DurableEngine`] restores the floor through this method
+    /// when it recovers from a snapshot.
     pub fn ensure_lsn_after(&mut self, lsn: u64) {
         if self.next_lsn <= lsn {
             self.next_lsn = lsn + 1;
         }
-    }
-
-    /// Truncates the log — an optimization to bound replay time, safe to
-    /// run after a checkpoint has durably recorded [`Self::last_lsn`]
-    /// alongside the snapshot (recovery skips ≤ that LSN even if the
-    /// truncation never happens). LSNs keep counting monotonically.
-    pub fn checkpoint(&mut self) -> Result<(), StorageError> {
-        self.log.truncate(0)?;
-        self.valid_len = 0;
-        self.poisoned = false;
-        self.log.sync()
     }
 
     /// Bytes of intact records currently in the log.
@@ -591,19 +581,6 @@ mod tests {
         let (recs, _) = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].lsn, 2);
-    }
-
-    #[test]
-    fn checkpoint_truncates_but_lsns_keep_counting() {
-        let path = tmp("ckpt.wal");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&[1, 1], 9).unwrap();
-        wal.checkpoint().unwrap();
-        assert!(wal.is_empty());
-        assert_eq!(wal.append(&[2, 2], 4).unwrap(), 2); // not reset to 1
-        let (recs, _) = Wal::replay(&path).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].lsn, 2);
     }
 
     #[test]
@@ -708,16 +685,22 @@ mod tests {
 
     #[test]
     fn lsn_floor_survives_truncate_and_reopen() {
-        // Regression (found in review): checkpoint truncates, process
-        // restarts, empty log restarts LSNs at 1 — below the snapshot
-        // LSN — unless the caller restores the floor.
+        // Regression (found in review): the log loses records a snapshot
+        // at LSN 2 holds, the process restarts, and the empty log
+        // restarts LSNs at 1 — below the snapshot LSN — unless the
+        // caller restores the floor.
         let path = tmp("floor.wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(&[1], 1).unwrap();
             wal.append(&[2], 2).unwrap();
-            wal.checkpoint().unwrap(); // snapshot_lsn = 2 recorded by caller
         }
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
         let mut wal = Wal::open(&path).unwrap();
         assert_eq!(wal.last_lsn(), 0, "fresh counter from an empty log");
         wal.ensure_lsn_after(2);

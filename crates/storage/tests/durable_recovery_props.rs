@@ -73,13 +73,10 @@ fn run_until(sc: &Scenario, stop: usize) -> (Vec<u8>, NdCube<i64>, u64) {
         let lin = model.shape().linear_unchecked(coords);
         *model.get_linear_mut(lin) += *delta;
         if Some(i) == sc.checkpoint_at {
-            let mut saved = None;
-            d.checkpoint(|_, lsn| -> Result<(), ()> {
-                saved = Some((model.clone(), lsn));
-                Ok(())
-            })
-            .expect("fault-free checkpoint");
-            snapshot = saved.expect("persist ran");
+            let lsn = d
+                .checkpoint_to(&mut SimSnapshotStore::new(FaultPlan::none(), 1))
+                .expect("fault-free checkpoint");
+            snapshot = (model.clone(), lsn);
         }
     }
     // The crash: the process dies here. A fault-free SimLogFile keeps

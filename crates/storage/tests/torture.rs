@@ -248,6 +248,7 @@ fn torture_one_seed(seed: u64) -> (u64, u64, u64) {
         .expect("fresh open");
     d.set_sync_every_append(strict);
     d.set_retry_policy(RetryPolicy::no_backoff(3));
+    let mut snapshots = SimSnapshotStore::new(FaultPlan::none(), seed);
     let mut rng = SimRng::new(seed.wrapping_mul(0x51D0_9E4A_2B1C_F00D).wrapping_add(7));
     let mut model = Model {
         cells: vec![0; SIDE * SIDE],
@@ -258,20 +259,14 @@ fn torture_one_seed(seed: u64) -> (u64, u64, u64) {
 
     for op in 0..OPS {
         if op % 13 == 12 {
-            // Checkpoint: persist the model (the caller's snapshot). If
-            // the persist closure ran, the snapshot is durable even when
-            // the subsequent WAL truncation errors — the LSN filter keeps
-            // recovery exact either way (and the sweep below proves it).
-            let mut saved: Option<(Vec<i64>, u64)> = None;
-            let result = d.checkpoint(|_, lsn| -> Result<(), ()> {
-                saved = Some((model.cells.clone(), lsn));
-                Ok(())
-            });
-            if let Some((cells, lsn)) = saved {
-                model.snapshot = cells;
+            // Checkpoint into a fault-free snapshot store. An injected WAL
+            // sync failure legitimately aborts it before any artifact is
+            // cut; on success the snapshot holds the model at its LSN, and
+            // the sweep below proves the LSN filter keeps recovery exact.
+            if let Ok(lsn) = d.checkpoint_to(&mut snapshots) {
+                model.snapshot = model.cells.clone();
                 model.snapshot_lsn = lsn;
             }
-            drop(result); // injected sync failures legitimately surface here
         } else if op % 5 == 4 {
             // A bulk range update: one WAL record covers the whole box,
             // so crash recovery must see it all-or-nothing.

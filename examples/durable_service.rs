@@ -1,19 +1,18 @@
 //! Durability end to end: a long-running cube service that survives
-//! crashes. Updates are write-ahead logged; periodic checkpoints snapshot
-//! the engine and truncate the log; a simulated crash (dropping the
-//! engine without checkpointing, plus a torn final log record) recovers
-//! to exactly the acknowledged state.
+//! crashes. Updates are write-ahead logged; a mid-session checkpoint
+//! writes an `RPSSNAP1` snapshot whose header carries its LSN; a
+//! simulated crash (dropping the engine without checkpointing, plus a
+//! torn final log record) recovers — newest snapshot plus the WAL tail
+//! past its LSN — to exactly the acknowledged state.
 //!
 //! ```text
 //! cargo run --release --example durable_service
 //! ```
 
-use std::fs::File;
 use std::path::PathBuf;
 
-use rps::core::snapshot;
 use rps::ndcube::Region;
-use rps::storage::{DurableEngine, Wal};
+use rps::storage::{DurableEngine, FsSnapshotDir, StorageError, Wal};
 use rps::workload::SalesScenario;
 use rps::RpsEngine;
 
@@ -26,47 +25,40 @@ fn workdir() -> PathBuf {
 fn main() {
     const AGES: usize = 50;
     const DAYS: usize = 120;
-    let snap_path = workdir().join("service.rps");
+    let snap_dir = workdir().join("snapshots");
     let wal_path = workdir().join("service.wal");
-    let _ = std::fs::remove_file(&snap_path);
+    let _ = std::fs::remove_dir_all(&snap_dir);
     let _ = std::fs::remove_file(&wal_path);
 
     let mut scenario = SalesScenario::new(AGES, DAYS, 4242);
     let window = scenario.age_window_query(20, 35, 30);
+    // The empty cube a recovery starts from when no snapshot survives.
+    let fresh = || RpsEngine::<i64>::zeros(&[AGES, DAYS]).map_err(StorageError::Engine);
 
-    let lsn_path = workdir().join("service.lsn");
-    let persist =
-        |e: &RpsEngine<i64>, lsn: u64| -> Result<(), rps::core::snapshot::SnapshotError> {
-            snapshot::save_rps(e, File::create(&snap_path).unwrap())?;
-            std::fs::write(&lsn_path, lsn.to_string()).unwrap();
-            Ok(())
-        };
-
-    // --- Session 1: bootstrap, checkpoint, absorb sales, "crash". -------
+    // --- Session 1: bootstrap, absorb sales, checkpoint, "crash". -------
     let mut acknowledged = 0i64;
     {
-        let engine = RpsEngine::<i64>::zeros(&[AGES, DAYS]).unwrap();
-        let mut service = DurableEngine::open(engine, &wal_path, 0).unwrap();
-        service.checkpoint(persist).unwrap();
+        let (mut service, _) = DurableEngine::recover(&snap_dir, &wal_path, fresh).unwrap();
+        let mut snapshots = FsSnapshotDir::open(&snap_dir).unwrap();
 
         for i in 0..5_000 {
             let ([age, day], amount) = scenario.next_sale();
             service.update(&[age, day], amount).unwrap();
             acknowledged += amount;
             if i == 2_500 {
-                // Mid-session checkpoint: snapshot + LSN sidecar, then
-                // the log is truncated.
-                let lsn = service.checkpoint(persist).unwrap();
+                // Mid-session checkpoint: a snapshot at the current LSN.
+                // The WAL keeps every record; recovery starts past it.
+                let lsn = service.checkpoint_to(&mut snapshots).unwrap();
                 println!(
-                    "checkpoint at sale {i} (lsn {lsn}): WAL reset to {} bytes",
-                    service.wal_bytes()
+                    "checkpoint at sale {i} (lsn {lsn}) → {}",
+                    snapshots.slot_path(lsn).display()
                 );
             }
         }
         println!(
             "session 1: 5,000 sales acknowledged (total {acknowledged}); \
              {} bytes of WAL since the checkpoint — crashing now",
-            service.wal_bytes()
+            service.wal_bytes_since_checkpoint()
         );
         // `service` dropped here without a final checkpoint = crash.
     }
@@ -81,11 +73,9 @@ fn main() {
         .unwrap();
     println!("simulated torn final record (truncated 7 bytes of WAL)");
 
-    // --- Session 2: recover = last checkpoint + WAL tail (> lsn). --------
-    let base = snapshot::load_rps(File::open(&snap_path).unwrap()).unwrap();
-    let snapshot_lsn: u64 =
-        std::fs::read_to_string(&lsn_path).map_or(0, |s| s.trim().parse().unwrap());
-    let recovered = DurableEngine::open(base, &wal_path, snapshot_lsn).unwrap();
+    // --- Session 2: recover = newest snapshot + WAL tail (> its LSN). ----
+    let (recovered, report) = DurableEngine::recover(&snap_dir, &wal_path, fresh).unwrap();
+    println!("session 2: {report}");
     let full = Region::new(&[0, 0], &[AGES - 1, DAYS - 1]).unwrap();
     let recovered_total = recovered.query(&full).unwrap();
 
