@@ -1,13 +1,15 @@
 //! The `rps-cube` subcommands, written against `io::Write` so tests can
 //! capture output.
 
+use std::error::Error;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::path::Path;
 
-use ndcube::Region;
+use ndcube::{NdCube, Region};
 use rps_analysis::Table;
-use rps_core::snapshot;
-use rps_core::{NaiveEngine, PrefixSumEngine, RangeSumEngine, RpsEngine};
+use rps_core::{NaiveEngine, PrefixSumEngine, RangeSumEngine, RpsEngine, SumCount};
+use rps_storage::{decode_snapshot, encode_snapshot, write_atomic, SnapshotHeader, SnapshotState};
 use rps_workload::CubeGen;
 
 use crate::args::{parse_cell, parse_dims, parse_range, Args};
@@ -15,19 +17,65 @@ use crate::csv::read_csv;
 use crate::spec::{parse_schema_spec, parse_where};
 
 /// Top-level error type for command execution.
-pub type CmdResult = Result<(), Box<dyn std::error::Error>>;
+pub type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Writes a snapshot atomically: to `<path>.tmp` first, renamed over the
-/// target only after the write fully succeeds — a failed or interrupted
-/// save never destroys the existing file.
-fn save_atomic(
-    path: &str,
-    write: impl FnOnce(BufWriter<File>) -> Result<(), rps_core::snapshot::SnapshotError>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let tmp = format!("{path}.tmp");
-    write(BufWriter::new(File::create(&tmp)?))?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+/// A loaded cube file. Every file is `RPSSNAP1` (docs/FORMATS.md): one
+/// artifact holds a cube (box = dims) or an RPS engine and loads with
+/// its stored box; two back-to-back artifacts of one geometry, SUM then
+/// COUNT, hold a facts cube.
+enum CubeFile {
+    /// One artifact, with the LSN in its header.
+    Engine(Box<RpsEngine<i64>>, u64),
+    /// Two artifacts: (sum, count) per cell.
+    Facts(NdCube<SumCount<i64>>),
+}
+
+fn decode(path: &str, bytes: &[u8]) -> Result<(SnapshotHeader, Vec<i64>), Box<dyn Error>> {
+    decode_snapshot(bytes).map_err(|check| format!("{path}: not an RPSSNAP1 file: {check}").into())
+}
+
+fn load(path: &str) -> Result<CubeFile, Box<dyn Error>> {
+    let bytes = std::fs::read(path)?;
+    let (header, cells) = decode(path, &bytes)?;
+    let rest = &bytes[header.total_len()..];
+    if rest.is_empty() {
+        let engine = RpsEngine::restore(&header.dims, &header.box_size, cells)?;
+        return Ok(CubeFile::Engine(Box::new(engine), header.lsn));
+    }
+    let (count_header, counts) = decode(path, rest)?;
+    if count_header.dims != header.dims || count_header.total_len() != rest.len() {
+        return Err(format!("{path}: neither one artifact nor a SUM/COUNT pair").into());
+    }
+    let facts = cells
+        .into_iter()
+        .zip(counts)
+        .map(|(s, c)| SumCount::new(s, c));
+    let facts = NdCube::from_vec(&header.dims, facts.collect())?;
+    Ok(CubeFile::Facts(facts))
+}
+
+/// Loads a one-artifact file (cube or engine) and its LSN.
+fn load_engine(path: &str) -> Result<(RpsEngine<i64>, u64), Box<dyn Error>> {
+    match load(path)? {
+        CubeFile::Engine(engine, lsn) => Ok((*engine, lsn)),
+        CubeFile::Facts(_) => Err(format!("{path} is a facts file, not a cube").into()),
+    }
+}
+
+/// Saves one artifact per cube in `cubes`, back to back, via
+/// [`write_atomic`] (staged to `<path>.tmp`, fsynced, renamed): a failed
+/// or interrupted save never destroys the existing file.
+fn save(path: &str, lsn: u64, box_size: &[usize], cubes: &[&NdCube<i64>]) -> CmdResult {
+    let mut bytes = Vec::new();
+    for cube in cubes {
+        let dims = cube.shape().dims();
+        bytes.extend(encode_snapshot(lsn, dims, box_size, cube.as_slice())?);
+    }
+    Ok(write_atomic(Path::new(path), &bytes)?)
+}
+
+fn save_engine(path: &str, lsn: u64, engine: &RpsEngine<i64>) -> CmdResult {
+    save(path, lsn, engine.grid().box_size(), &[&engine.to_cube()])
 }
 
 /// Forces every metric family in the workspace to register, so a stats
@@ -101,7 +149,7 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \n\
          commands:\n\
          \x20 generate --dims 64x64 [--seed N] [--dist uniform|sparse|zipf] --out FILE\n\
-         \x20     synthesize a data cube and write a cube snapshot\n\
+         \x20     synthesize a data cube and write it as a cube file (RPSSNAP1)\n\
          \x20 ingest   --csv FILE --spec SPEC --measure COL [--kind sum|facts] --out FILE\n\
          \x20     load facts from CSV into a cube snapshot; SPEC is per dimension\n\
          \x20     NAME:num:MIN:MAX or NAME:cat:A|B|C, comma-separated;\n\
@@ -112,8 +160,8 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \x20     describe a snapshot (kind, dims, box size, storage)\n\
          \x20 query    --file FILE (--range LO:HI | --spec SPEC --where CLAUSE)\n\
          \x20          [--agg sum|count|avg]\n\
-         \x20     range query against an engine snapshot (sum) or a facts\n\
-         \x20     snapshot (sum/count/avg); --range 0,0:63,63 uses raw\n\
+         \x20     range query against a cube or engine file (sum) or a facts\n\
+         \x20     file (sum/count/avg); --range 0,0:63,63 uses raw\n\
          \x20     indices, --where \"AGE=37..52,REGION=East\" uses the schema\n\
          \x20 update   --file FILE (--cell R,C | --region LO:HI) --delta N\n\
          \x20     apply a point update, or add N to every cell of an\n\
@@ -124,7 +172,7 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \x20     N-thread front-end (on one versioned snapshot)\n\
          \x20     against the serial path\n\
          \x20 rollup   --file FILE --dim D --bucket B [--range LO:HI]\n\
-         \x20     GROUP BY along dimension D in buckets of B (engine snapshots)\n\
+         \x20     GROUP BY along dimension D in buckets of B (cube or engine files)\n\
          \x20 verify   [--file FILE] [--wal FILE]\n\
          \x20     audit an engine snapshot's structural invariants and/or a\n\
          \x20     write-ahead log (intact records, last LSN, torn-tail bytes)\n\
@@ -180,7 +228,7 @@ fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
         "zipf" => gen.zipf_rows(&dims, 1.0, 100)?,
         other => return Err(format!("unknown --dist `{other}`").into()),
     };
-    save_atomic(path, |w| snapshot::save_cube(&cube, w))?;
+    save(path, 0, &dims, &[&cube])?;
     writeln!(
         out,
         "wrote {dist} cube {:?} ({} cells) to {path} [seed {seed}]",
@@ -217,8 +265,9 @@ fn ingest(args: &Args, out: &mut dyn Write) -> CmdResult {
     if !matches!(kind, "sum" | "facts") {
         return Err(format!("unknown --kind `{kind}` (expected sum or facts)").into());
     }
-    let mut cube = ndcube::NdCube::<i64>::zeros(&schema.dims());
-    let mut fact_cube = ndcube::NdCube::<rps_core::SumCount<i64>>::zeros(&schema.dims());
+    let dims = schema.dims();
+    let mut cube = NdCube::<i64>::zeros(&dims);
+    let mut counts = NdCube::<i64>::zeros(&dims);
     let mut loaded = 0u64;
     let mut volume = 0i64;
     for (i, row) in rows.iter().enumerate() {
@@ -244,25 +293,19 @@ fn ingest(args: &Args, out: &mut dyn Write) -> CmdResult {
             .parse()
             .map_err(|e| format!("record {record}: bad measure `{}`: {e}", row[measure_col]))?;
         let lin = cube.shape().linear_unchecked(&coords);
-        if kind == "facts" {
-            let cell = fact_cube.get_linear_mut(lin);
-            cell.sum += amount;
-            cell.count += 1;
-        } else {
-            *cube.get_linear_mut(lin) += amount;
-        }
+        *cube.get_linear_mut(lin) += amount;
+        *counts.get_linear_mut(lin) += 1;
         loaded += 1;
         volume += amount;
     }
     if kind == "facts" {
-        save_atomic(out_path, |w| snapshot::save_sumcount_cube(&fact_cube, w))?;
+        save(out_path, 0, &dims, &[&cube, &counts])?;
     } else {
-        save_atomic(out_path, |w| snapshot::save_cube(&cube, w))?;
+        save(out_path, 0, &dims, &[&cube])?;
     }
     writeln!(
         out,
-        "ingested {loaded} facts (total measure {volume}) into {kind} cube {:?} → {out_path}",
-        schema.dims()
+        "ingested {loaded} facts (total measure {volume}) into {kind} cube {dims:?} → {out_path}"
     )?;
     Ok(())
 }
@@ -270,12 +313,12 @@ fn ingest(args: &Args, out: &mut dyn Write) -> CmdResult {
 fn build(args: &Args, out: &mut dyn Write) -> CmdResult {
     let cube_path = args.required("cube")?;
     let out_path = args.required("out")?;
-    let cube = snapshot::load_cube(BufReader::new(File::open(cube_path)?))?;
+    let cube = load_engine(cube_path)?.0.to_cube();
     let engine = match args.optional_usize("k")? {
         Some(k) => RpsEngine::from_cube_uniform(&cube, k)?,
         None => RpsEngine::from_cube(&cube),
     };
-    save_atomic(out_path, |w| snapshot::save_rps(&engine, w))?;
+    save_engine(out_path, 0, &engine)?;
     writeln!(
         out,
         "built RPS engine over {:?}, box size {:?}, storage {} cells ({} overlay) → {out_path}",
@@ -289,11 +332,14 @@ fn build(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 fn info(args: &Args, out: &mut dyn Write) -> CmdResult {
     let path = args.required("file")?;
-    // Dispatch on the kind byte; real load errors surface as-is.
-    let kind = snapshot::peek_kind(BufReader::new(File::open(path)?))?;
-    match kind {
-        snapshot::SnapshotKind::RpsEngine => {
-            let engine = snapshot::load_rps(BufReader::new(File::open(path)?))?;
+    match load(path)? {
+        CubeFile::Engine(engine, _) if engine.grid().box_size() == engine.shape().dims() => {
+            writeln!(out, "{path}: cube snapshot")?;
+            writeln!(out, "  dims        {:?}", engine.shape().dims())?;
+            writeln!(out, "  cells       {}", engine.shape().len())?;
+            writeln!(out, "  total sum   {}", engine.total())?;
+        }
+        CubeFile::Engine(engine, _) => {
             writeln!(out, "{path}: RPS engine snapshot")?;
             writeln!(out, "  dims        {:?}", engine.shape().dims())?;
             writeln!(out, "  box size    {:?}", engine.grid().box_size())?;
@@ -307,16 +353,7 @@ fn info(args: &Args, out: &mut dyn Write) -> CmdResult {
             )?;
             writeln!(out, "  total sum   {}", engine.total())?;
         }
-        snapshot::SnapshotKind::Cube => {
-            let cube = snapshot::load_cube(BufReader::new(File::open(path)?))?;
-            let total: i64 = cube.as_slice().iter().sum();
-            writeln!(out, "{path}: cube snapshot")?;
-            writeln!(out, "  dims        {:?}", cube.shape().dims())?;
-            writeln!(out, "  cells       {}", cube.len())?;
-            writeln!(out, "  total sum   {total}")?;
-        }
-        snapshot::SnapshotKind::SumCountCube => {
-            let facts = snapshot::load_sumcount_cube(BufReader::new(File::open(path)?))?;
+        CubeFile::Facts(facts) => {
             let (mut sum, mut count) = (0i64, 0i64);
             for sc in facts.as_slice() {
                 sum += sc.sum;
@@ -348,65 +385,36 @@ fn query(args: &Args, out: &mut dyn Write) -> CmdResult {
         (None, None) => return Err("query needs --range or --spec + --where".into()),
     };
     let agg = args.optional("agg").unwrap_or("sum");
+    let (lo, hi) = (region.lo(), region.hi());
 
-    // Dispatch on the snapshot's kind byte so a corrupt file reports its
-    // real error instead of falling through the wrong loader.
-    let kind = snapshot::peek_kind(BufReader::new(File::open(path)?))?;
-
-    // Facts snapshots answer sum/count/avg; engine snapshots answer sum.
-    if kind == snapshot::SnapshotKind::SumCountCube {
-        let facts = snapshot::load_sumcount_cube(BufReader::new(File::open(path)?))?;
-        let engine = rps_core::aggregate::AverageCube::new(RpsEngine::from_cube(&facts));
-        match agg {
-            "sum" => writeln!(
-                out,
-                "sum over {:?}..={:?} = {}",
-                region.lo(),
-                region.hi(),
-                engine.sum(&region)?
-            )?,
-            "count" => writeln!(
-                out,
-                "count over {:?}..={:?} = {}",
-                region.lo(),
-                region.hi(),
-                engine.count(&region)?
-            )?,
-            "avg" => match engine.average(&region)? {
-                Some(a) => writeln!(
-                    out,
-                    "avg over {:?}..={:?} = {a:.3}",
-                    region.lo(),
-                    region.hi()
-                )?,
-                None => writeln!(
-                    out,
-                    "avg over {:?}..={:?} = (no facts in region)",
-                    region.lo(),
-                    region.hi()
-                )?,
-            },
-            other => return Err(format!("unknown --agg `{other}`").into()),
+    // Facts files answer sum/count/avg; cube and engine files answer sum.
+    let engine = match load(path)? {
+        CubeFile::Engine(engine, _) => engine,
+        CubeFile::Facts(facts) => {
+            let engine = rps_core::aggregate::AverageCube::new(RpsEngine::from_cube(&facts));
+            let answer = match agg {
+                "sum" => engine.sum(&region)?.to_string(),
+                "count" => engine.count(&region)?.to_string(),
+                "avg" => match engine.average(&region)? {
+                    Some(a) => format!("{a:.3}"),
+                    None => "(no facts in region)".into(),
+                },
+                other => return Err(format!("unknown --agg `{other}`").into()),
+            };
+            writeln!(out, "{agg} over {lo:?}..={hi:?} = {answer}")?;
+            return Ok(());
         }
-        return Ok(());
-    }
-
-    if kind == snapshot::SnapshotKind::Cube {
-        return Err("this is a raw cube snapshot; `build` it into an engine first".into());
-    }
+    };
     if agg != "sum" {
         return Err(
             format!("--agg {agg} needs a facts snapshot (ingest with --kind facts)").into(),
         );
     }
-    let engine = snapshot::load_rps(BufReader::new(File::open(path)?))?;
     engine.reset_stats();
     let sum = engine.query(&region)?;
     writeln!(
         out,
-        "sum over {:?}..={:?} = {sum}  ({} cells in region, {} cell reads)",
-        region.lo(),
-        region.hi(),
+        "sum over {lo:?}..={hi:?} = {sum}  ({} cells in region, {} cell reads)",
         region.cell_count(),
         engine.stats().cell_reads
     )?;
@@ -416,7 +424,7 @@ fn query(args: &Args, out: &mut dyn Write) -> CmdResult {
 fn update(args: &Args, out: &mut dyn Write) -> CmdResult {
     let path = args.required("file")?;
     let delta = args.i64_or("delta", 1)?;
-    let mut engine = snapshot::load_rps(BufReader::new(File::open(path)?))?;
+    let (mut engine, lsn) = load_engine(path)?;
     engine.reset_stats();
     match (args.optional("cell"), args.optional("region")) {
         (Some(_), Some(_)) => {
@@ -429,7 +437,7 @@ fn update(args: &Args, out: &mut dyn Write) -> CmdResult {
             let writes = engine.stats().cell_writes;
             // In-place rewrite of the only copy: go through a temp file so a
             // crash or full disk mid-save can't truncate the snapshot.
-            save_atomic(path, |w| snapshot::save_rps(&engine, w))?;
+            save_engine(path, lsn, &engine)?;
             writeln!(
                 out,
                 "applied {delta:+} at {cell:?} ({writes} cells written); new cell value {}",
@@ -441,7 +449,7 @@ fn update(args: &Args, out: &mut dyn Write) -> CmdResult {
             let region = Region::new(&lo, &hi)?;
             engine.range_update(&region, delta)?;
             let writes = engine.stats().cell_writes;
-            save_atomic(path, |w| snapshot::save_rps(&engine, w))?;
+            save_engine(path, lsn, &engine)?;
             writeln!(
                 out,
                 "applied {delta:+} to each of {} cells in {lo:?}..={hi:?} \
@@ -460,7 +468,7 @@ fn verify(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("verify needs --file and/or --wal".into());
     }
     if let Some(path) = file {
-        let engine = snapshot::load_rps(BufReader::new(File::open(path)?))?;
+        let (engine, _) = load_engine(path)?;
         let violations = engine.check_invariants();
         if violations.is_empty() {
             writeln!(
@@ -477,7 +485,7 @@ fn verify(args: &Args, out: &mut dyn Write) -> CmdResult {
     }
     if let Some(path) = wal {
         let bytes = std::fs::read(path)?;
-        let (records, valid_len) = rps_storage::decode_records(&bytes);
+        let (records, valid_len) = rps_storage::decode_log(&bytes)?;
         let torn = bytes.len() as u64 - valid_len;
         let last_lsn = records.last().map_or(0, |r| r.lsn);
         if torn == 0 {
@@ -609,7 +617,7 @@ fn recover(args: &Args, out: &mut dyn Write) -> CmdResult {
     let (d, report) = recover_from_dir(dir, wal, &dims)?;
     writeln!(out, "{report}")?;
     if let Some(out_path) = args.optional("out") {
-        save_atomic(out_path, |w| snapshot::save_rps(d.engine(), w))?;
+        save_engine(out_path, d.last_lsn(), d.engine())?;
         writeln!(out, "saved recovered engine → {out_path}")?;
     }
     Ok(())
@@ -621,7 +629,7 @@ fn rollup(args: &Args, out: &mut dyn Write) -> CmdResult {
     let bucket = args
         .optional_usize("bucket")?
         .ok_or("rollup needs --bucket")?;
-    let engine = snapshot::load_rps(BufReader::new(File::open(path)?))?;
+    let (engine, _) = load_engine(path)?;
     if dim >= engine.shape().ndim() {
         return Err(format!("--dim {dim} out of range for {:?}", engine.shape().dims()).into());
     }
@@ -1273,6 +1281,30 @@ mod tests {
         // The range record replays as a 4x4 box, not as one cell.
         assert_eq!(query_sum(&engine, "0,0:7,7"), 5 + 16);
         assert_eq!(query_sum(&engine, "3,3:3,3"), 1);
+    }
+
+    #[test]
+    fn recover_refuses_a_non_wal_file_and_leaves_it_intact() {
+        // `--wal` pointed at a cube file (a 180-byte RPSSNAP1 artifact)
+        // used to be truncated to 0 bytes as a "torn tail".
+        let dir = tmp("not-a-wal");
+        let cube = tmp("not-a-wal.cube");
+        let (out, ok) = run_capture(&["generate", "--dims", "4x4", "--out", &cube]);
+        assert!(ok, "{out}");
+        let before = std::fs::read(&cube).unwrap();
+        let args = Args::parse(
+            ["recover", "--dir", &dir, "--wal", &cube, "--dims", "4x4"]
+                .iter()
+                .map(std::string::ToString::to_string),
+        )
+        .unwrap();
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("not an RPSWAL02 log"), "{err}");
+        assert_eq!(
+            std::fs::read(&cube).unwrap(),
+            before,
+            "the cube file was modified"
+        );
     }
 
     #[test]

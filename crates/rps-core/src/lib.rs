@@ -50,7 +50,6 @@
 pub mod aggregate;
 pub mod blocked_fenwick;
 pub mod buffered;
-pub mod checksum;
 pub mod chunked;
 pub mod concurrent;
 pub mod corners;
@@ -60,7 +59,6 @@ pub mod naive;
 pub mod obs;
 pub mod prefix;
 pub mod rps;
-pub mod snapshot;
 pub mod stats;
 pub mod sync_compat;
 pub mod testdata;

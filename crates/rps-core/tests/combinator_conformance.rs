@@ -1,11 +1,11 @@
 //! Property tests for the engine combinators: the delta buffer and the
 //! shared (thread-safe) wrapper must be behaviour-transparent — any
-//! op sequence gives the same answers as the bare engine — and snapshots
-//! must round-trip arbitrary states.
+//! op sequence gives the same answers as the bare engine. (Snapshot
+//! round trips are property-tested in rps-storage, which owns the
+//! format.)
 
 use ndcube::{NdCube, Region};
 use proptest::prelude::*;
-use rps_core::snapshot;
 use rps_core::{
     BufferedEngine, NaiveEngine, PrefixSumEngine, RangeSumEngine, RpsEngine, SharedEngine,
 };
@@ -87,42 +87,5 @@ proptest! {
             prop_assert_eq!(got, oracle.query(&region).unwrap());
         }
         prop_assert_eq!(shared.update_count(), sc.updates.len() as u64);
-    }
-
-    #[test]
-    fn snapshot_round_trips_arbitrary_state(sc in ops()) {
-        let cube = NdCube::from_vec(&[sc.n, sc.n], sc.initial.clone()).unwrap();
-        let mut engine = RpsEngine::from_cube(&cube);
-        for ((r, c), delta) in &sc.updates {
-            engine.update(&[*r, *c], *delta).unwrap();
-        }
-        let mut buf = Vec::new();
-        snapshot::save_rps(&engine, &mut buf).unwrap();
-        let loaded = snapshot::load_rps(&buf[..]).unwrap();
-        prop_assert_eq!(loaded.to_cube(), engine.to_cube());
-        for ((r0, c0), (r1, c1)) in &sc.queries {
-            let region = Region::new(&[*r0, *c0], &[*r1, *c1]).unwrap();
-            prop_assert_eq!(loaded.query(&region).unwrap(), engine.query(&region).unwrap());
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_any_single_byte_corruption(
-        sc in ops(),
-        victim in any::<proptest::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        let cube = NdCube::from_vec(&[sc.n, sc.n], sc.initial.clone()).unwrap();
-        let mut buf = Vec::new();
-        snapshot::save_cube(&cube, &mut buf).unwrap();
-        let pos = victim.index(buf.len());
-        buf[pos] ^= flip;
-        // Corruption anywhere must be detected (magic, header, payload,
-        // or checksum) — loading must never silently return a different
-        // cube.
-        match snapshot::load_cube(&buf[..]) {
-            Err(_) => {}
-            Ok(loaded) => prop_assert_eq!(loaded, cube, "corruption at byte {} missed", pos),
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! A checksumming [`PageStore`] wrapper: detect bit-rot, never serve it.
 //!
-//! [`CheckedStore`] keeps one FNV-1a checksum per page (over the page's
+//! [`CheckedStore`] keeps one CRC-32 per page (over the page's
 //! [`PodCell`] wire encoding, the same bytes a [`crate::FileDevice`]
 //! persists). Every `write_page` refreshes the page's checksum; every
 //! `read_page` verifies it and turns a mismatch into
@@ -9,38 +9,31 @@
 //! collects and [`crate::DiskRpsEngine::scrub`] repairs from the base
 //! cube. Corrupt pages are quarantined until a rewrite heals them.
 //!
-//! The checksum table itself persists through a small sidecar file
-//! ([`CheckedStore::save_sums`] / [`CheckedStore::load_sums`]) so a
-//! restart can keep detecting rot that happened while the process was
-//! down.
+//! The checksum table lives in memory only: [`CheckedStore::new`]
+//! baselines it from the store's contents at open.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::path::Path;
-
-use rps_core::checksum::fnv1a;
 
 use crate::device::{DeviceStats, PageId};
 use crate::error::StorageError;
 use crate::file_device::{PageStore, PodCell};
+use crate::snapshot::crc32;
 
-/// FNV-1a over the page's little-endian wire encoding.
-fn page_checksum<T: PodCell>(cells: &[T]) -> u64 {
+/// CRC-32 over the page's little-endian wire encoding.
+fn page_checksum<T: PodCell>(cells: &[T]) -> u32 {
     let mut bytes = vec![0u8; cells.len() * T::BYTES];
     for (cell, chunk) in cells.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
         cell.write_le(chunk);
     }
-    fnv1a(&bytes)
+    crc32(&bytes)
 }
-
-/// Magic prefix of the checksum sidecar file.
-const SUMS_MAGIC: &[u8; 8] = b"RPSSUMS1";
 
 /// A [`PageStore`] wrapper that checksums every page.
 #[derive(Debug)]
 pub struct CheckedStore<T, S> {
     inner: S,
-    sums: Vec<u64>,
+    sums: Vec<u32>,
     verify: Cell<bool>,
     quarantined: RefCell<BTreeSet<u32>>,
     _marker: std::marker::PhantomData<T>,
@@ -55,28 +48,6 @@ impl<T: PodCell, S: PageStore<T>> CheckedStore<T, S> {
         for p in 0..inner.num_pages() {
             inner.read_page(PageId(p as u32), &mut buf)?;
             sums.push(page_checksum(&buf));
-        }
-        Ok(CheckedStore {
-            inner,
-            sums,
-            verify: Cell::new(true),
-            quarantined: RefCell::new(BTreeSet::new()),
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Wraps `inner` with a checksum table restored from a sidecar
-    /// (restart path): rot that happened while the process was down is
-    /// detected on first read instead of silently re-baselined.
-    pub fn with_sums(inner: S, sums: Vec<u64>) -> Result<Self, StorageError> {
-        if sums.len() != inner.num_pages() {
-            return Err(StorageError::Layout {
-                detail: format!(
-                    "checksum table covers {} pages, store holds {}",
-                    sums.len(),
-                    inner.num_pages()
-                ),
-            });
         }
         Ok(CheckedStore {
             inner,
@@ -109,8 +80,8 @@ impl<T: PodCell, S: PageStore<T>> CheckedStore<T, S> {
             .collect()
     }
 
-    /// The current checksum table (one `u64` per page).
-    pub fn sums(&self) -> &[u64] {
+    /// The current checksum table (one CRC-32 per page).
+    pub fn sums(&self) -> &[u32] {
         &self.sums
     }
 
@@ -124,50 +95,6 @@ impl<T: PodCell, S: PageStore<T>> CheckedStore<T, S> {
     /// corruption the wrapper must then detect.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// Persists the checksum table to a sidecar file:
-    /// `"RPSSUMS1" ‖ count:u64 ‖ sums:u64×count ‖ fnv1a(all prior bytes)`.
-    pub fn save_sums(&self, path: &Path) -> Result<(), StorageError> {
-        let mut bytes = Vec::with_capacity(8 + 8 + self.sums.len() * 8 + 8);
-        bytes.extend_from_slice(SUMS_MAGIC);
-        bytes.extend_from_slice(&(self.sums.len() as u64).to_le_bytes());
-        for s in &self.sums {
-            bytes.extend_from_slice(&s.to_le_bytes());
-        }
-        let crc = fnv1a(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(path, bytes).map_err(|e| StorageError::io("write checksum sidecar", e))
-    }
-
-    /// Loads a checksum table saved by [`Self::save_sums`]. A damaged
-    /// sidecar is itself a typed [`StorageError::Corrupted`].
-    pub fn load_sums(path: &Path) -> Result<Vec<u64>, StorageError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| StorageError::io("read checksum sidecar", e))?;
-        let corrupt = |detail: &str| StorageError::Corrupted {
-            detail: format!("checksum sidecar: {detail}"),
-            page: None,
-        };
-        if bytes.len() < 24 || &bytes[..8] != SUMS_MAGIC {
-            return Err(corrupt("bad magic or truncated header"));
-        }
-        let body = &bytes[..bytes.len() - 8];
-        // lint:allow(L2): length checked ≥ 24 just above
-        let crc = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        if fnv1a(body) != crc {
-            return Err(corrupt("checksum mismatch"));
-        }
-        // lint:allow(L2): length checked ≥ 24 just above
-        let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        if body.len() != 16 + count * 8 {
-            return Err(corrupt("length does not match entry count"));
-        }
-        Ok(body[16..]
-            .chunks_exact(8)
-            // lint:allow(L2): chunks_exact(8) hands us exactly 8 bytes
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
     }
 }
 
@@ -291,56 +218,5 @@ mod tests {
             s.read_page(PageId(p), &mut buf).unwrap();
             assert_eq!(buf, vec![0, 0, 0, 0]);
         }
-    }
-
-    #[test]
-    fn sums_sidecar_round_trip() {
-        let dir = std::env::temp_dir().join("rps-checked-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sums.sidecar");
-        let mut s = store(2);
-        s.write_page(PageId(0), &[4, 3, 2, 1]).unwrap();
-        s.save_sums(&path).unwrap();
-        let sums = CheckedStore::<i64, BlockDevice<i64>>::load_sums(&path).unwrap();
-        assert_eq!(sums, s.sums());
-
-        // Restart path: a fresh device with the same bytes + loaded sums
-        // still detects rot that happened "while down".
-        let mut dev = BlockDevice::new(DeviceConfig { cells_per_page: 4 });
-        dev.alloc_pages(2);
-        dev.write_page(PageId(0), &[4, 3, 2, 666]); // rotted while down
-        let s2 = CheckedStore::with_sums(dev, sums).unwrap();
-        let mut buf = Vec::new();
-        assert!(matches!(
-            s2.read_page(PageId(0), &mut buf),
-            Err(StorageError::Corrupted { .. })
-        ));
-    }
-
-    #[test]
-    fn damaged_sidecar_is_a_typed_error() {
-        let dir = std::env::temp_dir().join("rps-checked-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.sidecar");
-        let s = store(1);
-        s.save_sums(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            CheckedStore::<i64, BlockDevice<i64>>::load_sums(&path),
-            Err(StorageError::Corrupted { .. })
-        ));
-    }
-
-    #[test]
-    fn sums_table_must_match_page_count() {
-        let mut dev = BlockDevice::<i64>::new(DeviceConfig { cells_per_page: 4 });
-        dev.alloc_pages(2);
-        assert!(matches!(
-            CheckedStore::with_sums(dev, vec![0; 5]),
-            Err(StorageError::Layout { .. })
-        ));
     }
 }

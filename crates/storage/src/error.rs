@@ -71,8 +71,9 @@ pub enum StorageError {
         detail: String,
     },
     /// A WAL-level protocol violation: a record the frame format cannot
-    /// represent, or an append on a log poisoned by an earlier torn
-    /// write that could not be rolled back.
+    /// represent, an append on a log poisoned by an earlier torn write
+    /// that could not be rolled back, or a file opened as a log that is
+    /// not an `RPSWAL02` log (left untouched).
     Wal {
         /// Description of the violation.
         detail: String,

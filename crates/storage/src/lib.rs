@@ -59,8 +59,10 @@ pub use file_device::{FileDevice, PageStore, PodCell};
 pub use latency::LatencyModel;
 pub use pool::{BufferPool, IoStats};
 pub use snapshot::{
-    crc32, decode_snapshot, encode_snapshot, peek_header, FsSnapshotDir, RecoveryReport,
-    RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy, SnapshotState,
-    SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    crc32, decode_snapshot, encode_snapshot, peek_header, write_atomic, FsSnapshotDir,
+    RecoveryReport, RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy,
+    SnapshotState, SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use wal::{decode_records, FsLogFile, LogFile, Wal, WalRecord, RANGE_FLAG};
+pub use wal::{
+    decode_log, decode_records, FsLogFile, LogFile, Wal, WalRecord, RANGE_FLAG, WAL_MAGIC,
+};

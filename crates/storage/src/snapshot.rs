@@ -25,16 +25,16 @@
 //! trailer      u32   payload_crc repeated (truncation tripwire)
 //! ```
 //!
-//! Writes are atomic: [`FsSnapshotDir`] stages to a `.tmp`, fsyncs,
-//! then renames into place, so a crash mid-write leaves either the old
-//! chain or a `.tmp` that enumeration ignores. The simulated store
-//! ([`crate::SimSnapshotStore`]) instead exposes every byte-granular
-//! crash state to the torture harness.
+//! Writes are atomic ([`write_atomic`]): [`FsSnapshotDir`] stages to a
+//! `.tmp`, fsyncs, then renames into place, so a crash mid-write leaves
+//! either the old chain or a `.tmp` that enumeration ignores. The
+//! simulated store ([`crate::SimSnapshotStore`]) instead exposes every
+//! byte-granular crash state to the torture harness.
 //!
-//! The checksum here is CRC32 (IEEE 802.3), not the FNV-1a used by the
-//! WAL frames: snapshots are bulk artifacts where burst-error detection
-//! guarantees matter more than hash speed, and the reflected
-//! table-driven CRC is what the exemplar formats use.
+//! This is the one cube format at rest: the `rps-cube` CLI's cube,
+//! engine and facts files are `RPSSNAP1` artifacts too. Its checksum,
+//! [`crc32`], is the one at-rest checksum — WAL frames and
+//! [`crate::CheckedStore`] page sums use it as well.
 
 use std::fmt;
 use std::fs;
@@ -53,8 +53,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 const MAX_NDIM: usize = 16;
 
 /// Refuse to allocate more than this many cells while decoding — a
-/// corrupt header must not become an OOM (mirrors the rps-core snapshot
-/// module's cap).
+/// corrupt header must not become an OOM.
 const MAX_SNAPSHOT_CELLS: u64 = 1 << 28;
 
 // ---------------------------------------------------------------------------
@@ -430,9 +429,39 @@ pub trait SnapshotStore {
     fn remove(&mut self, lsn: u64) -> Result<(), StorageError>;
 }
 
-/// A directory of `snap-<lsn>.rpssnap` files with atomic writes:
-/// stage to `.tmp`, `fsync`, rename into place, best-effort directory
-/// sync — a crash mid-write leaves the previous chain intact.
+/// Writes `bytes` to `path` atomically: stage to `<path>.tmp`, `fsync`,
+/// rename into place, best-effort directory sync. A crash mid-write
+/// leaves the old file (or none) plus at most a stray `.tmp`, never a
+/// torn `path`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+    let mut tmp_path = path.as_os_str().to_owned();
+    tmp_path.push(".tmp");
+    let tmp_path = PathBuf::from(tmp_path);
+    let mut tmp =
+        fs::File::create(&tmp_path).map_err(|e| StorageError::io("create snapshot tmp", e))?;
+    tmp.write_all(bytes)
+        .map_err(|e| StorageError::io("write snapshot tmp", e))?;
+    tmp.sync_all()
+        .map_err(|e| StorageError::io("sync snapshot tmp", e))?;
+    drop(tmp);
+    fs::rename(&tmp_path, path).map_err(|e| StorageError::io("rename snapshot into place", e))?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")));
+    Ok(())
+}
+
+/// Directory fsync makes a rename itself durable; best-effort because
+/// not every filesystem supports opening a directory.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        if d.sync_all().is_err() {
+            crate::obs::storage().wal_fsync_failures.inc();
+        }
+    }
+}
+
+/// A directory of `snap-<lsn>.rpssnap` files written by [`write_atomic`]
+/// — a crash mid-write leaves the previous chain intact.
 #[derive(Debug, Clone)]
 pub struct FsSnapshotDir {
     dir: PathBuf,
@@ -469,33 +498,11 @@ impl FsSnapshotDir {
         let digits = rest.strip_suffix(SNAP_SUFFIX)?;
         digits.parse().ok()
     }
-
-    fn sync_dir(&self) {
-        // Directory fsync makes the rename itself durable; best-effort
-        // because not every filesystem supports opening a directory.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            if d.sync_all().is_err() {
-                crate::obs::storage().wal_fsync_failures.inc();
-            }
-        }
-    }
 }
 
 impl SnapshotStore for FsSnapshotDir {
     fn write(&mut self, lsn: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let final_path = self.slot_path(lsn);
-        let tmp_path = final_path.with_extension("tmp");
-        let mut tmp =
-            fs::File::create(&tmp_path).map_err(|e| StorageError::io("create snapshot tmp", e))?;
-        tmp.write_all(bytes)
-            .map_err(|e| StorageError::io("write snapshot tmp", e))?;
-        tmp.sync_all()
-            .map_err(|e| StorageError::io("sync snapshot tmp", e))?;
-        drop(tmp);
-        fs::rename(&tmp_path, &final_path)
-            .map_err(|e| StorageError::io("rename snapshot into place", e))?;
-        self.sync_dir();
-        Ok(())
+        write_atomic(&self.slot_path(lsn), bytes)
     }
 
     fn list(&self) -> Result<Vec<u64>, StorageError> {
@@ -522,13 +529,13 @@ impl SnapshotStore for FsSnapshotDir {
         let from = self.slot_path(lsn);
         let to = from.with_extension("quarantined");
         fs::rename(&from, &to).map_err(|e| StorageError::io("quarantine snapshot", e))?;
-        self.sync_dir();
+        sync_dir(&self.dir);
         Ok(())
     }
 
     fn remove(&mut self, lsn: u64) -> Result<(), StorageError> {
         fs::remove_file(self.slot_path(lsn)).map_err(|e| StorageError::io("remove snapshot", e))?;
-        self.sync_dir();
+        sync_dir(&self.dir);
         Ok(())
     }
 }
@@ -736,6 +743,72 @@ mod tests {
         assert!(encode_snapshot(0, &[2, 2], &[2], &[0; 4]).is_err());
         assert!(encode_snapshot(0, &[2, 2], &[2, 2], &[0; 3]).is_err());
         assert!(encode_snapshot(0, &[0, 2], &[1, 1], &[]).is_err());
+    }
+
+    #[test]
+    fn writers_enforce_loader_geometry_limits() {
+        // What cannot be decoded must not be encodable: 17 dimensions.
+        let dims = [2usize; 17];
+        assert!(matches!(
+            encode_snapshot(0, &dims, &dims, &vec![0; 1 << 17]),
+            Err(StorageError::Layout { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_absurd_declared_geometry_before_allocating() {
+        // A header declaring a multi-billion-cell cube fails the Geometry
+        // check even when its CRC is consistent — before any allocation.
+        let mut bytes = encode_snapshot(0, &[2, 2], &[2, 2], &[1, 2, 3, 4]).unwrap();
+        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes()); // dims[0]
+        let hlen = SnapshotHeader::encoded_len(2);
+        let crc = crc32(&bytes[..hlen - 4]).to_le_bytes();
+        bytes[hlen - 4..hlen].copy_from_slice(&crc);
+        assert_eq!(decode_snapshot(&bytes), Err(SnapshotCheckFailed::Geometry));
+    }
+
+    #[test]
+    fn cube_round_trip() {
+        // A raw cube is an artifact whose box equals its dims.
+        let cube = rps_core::testdata::paper_array_a();
+        let dims = cube.shape().dims().to_vec();
+        let bytes = encode_snapshot(0, &dims, &dims, cube.as_slice()).unwrap();
+        let (h, cells) = decode_snapshot(&bytes).unwrap();
+        let restored = rps_core::NaiveEngine::<i64>::restore(&h.dims, &h.box_size, cells).unwrap();
+        assert_eq!(restored.cube(), &cube);
+    }
+
+    #[test]
+    fn rps_round_trip_preserves_answers() {
+        use rps_core::{RangeSumEngine, RpsEngine};
+        let mut e = RpsEngine::from_cube_uniform(&rps_core::testdata::paper_array_a(), 3).unwrap();
+        e.update(&[4, 4], 17).unwrap();
+        let (dims, box_size, cells) = e.capture();
+        let bytes = encode_snapshot(1, &dims, &box_size, &cells).unwrap();
+        let (h, cells) = decode_snapshot(&bytes).unwrap();
+        let loaded = RpsEngine::<i64>::restore(&h.dims, &h.box_size, cells).unwrap();
+        assert_eq!(loaded.grid().box_size(), e.grid().box_size());
+        for (lo, hi) in [([0, 0], [8, 8]), ([2, 2], [7, 5])] {
+            let r = ndcube::Region::new(&lo, &hi).unwrap();
+            assert_eq!(loaded.query(&r).unwrap(), e.query(&r).unwrap());
+        }
+    }
+
+    #[test]
+    fn three_dim_engine_round_trip() {
+        use rps_core::RpsEngine;
+        let cube =
+            ndcube::NdCube::from_fn(&[5, 4, 6], |c| (c[0] * 31 + c[1] * 7 + c[2]) as i64).unwrap();
+        let e = RpsEngine::from_cube_with_box_size(&cube, &[2, 2, 3]).unwrap();
+        let (dims, box_size, cells) = e.capture();
+        let bytes = encode_snapshot(0, &dims, &box_size, &cells).unwrap();
+        let (h, cells) = decode_snapshot(&bytes).unwrap();
+        assert_eq!(
+            (h.dims.as_slice(), h.box_size.as_slice()),
+            (&[5, 4, 6][..], &[2, 2, 3][..])
+        );
+        let loaded = RpsEngine::<i64>::restore(&h.dims, &h.box_size, cells).unwrap();
+        assert_eq!(loaded.to_cube(), cube);
     }
 
     #[test]

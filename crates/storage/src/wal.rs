@@ -11,7 +11,9 @@
 //! records from the log: it stays the full-replay floor when every
 //! snapshot is corrupt.
 //!
-//! Record framing (little-endian):
+//! File layout (little-endian): the 8-byte magic [`WAL_MAGIC`]
+//! (`"RPSWAL02"`), written in the same append as the first record, then
+//! the records back to back:
 //!
 //! ```text
 //! lsn    u64   monotone sequence number, 1-based
@@ -19,7 +21,7 @@
 //! coords u32 × ndim          (range: the low corner)
 //! hi     u32 × ndim          (range records only: the high corner)
 //! delta  i64
-//! crc    u64   FNV-1a over the fields above
+//! crc    u32   CRC-32 (IEEE) over the fields above
 //! ```
 //!
 //! Point records apply `delta` at `coords`. Range records (bit 31 of the
@@ -29,7 +31,11 @@
 //! either wholly intact or cut off with the torn tail.
 //!
 //! A torn tail (partial final record, or one with a bad checksum) is
-//! detected and cut off — exactly what a crash mid-append produces.
+//! detected and cut off — exactly what a crash mid-append produces. A
+//! file that does not open with the magic is not a torn log but some
+//! other file (or a log from before this format): opening it is a typed
+//! [`StorageError::Wal`] and its bytes are left alone. Only a strict
+//! prefix of the magic — a torn first append — counts as an empty log.
 //!
 //! The log's byte-level behaviour is abstracted behind [`LogFile`]:
 //! [`FsLogFile`] is the real file; the fault-injection
@@ -48,6 +54,10 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StorageError;
+use crate::snapshot::crc32;
+
+/// Magic opening every log file ("RPSWAL02").
+pub const WAL_MAGIC: [u8; 8] = *b"RPSWAL02";
 
 /// The dimension limit shared with the snapshot format.
 const MAX_NDIM: usize = 16;
@@ -74,14 +84,23 @@ impl WalRecord {
     /// Encoded size of this record in bytes.
     pub fn encoded_len(&self) -> usize {
         let sides = if self.hi.is_some() { 2 } else { 1 };
-        8 + 4 + sides * self.coords.len() * 4 + 8 + 8
+        8 + 4 + sides * self.coords.len() * 4 + 8 + 4
     }
 }
 
-use rps_core::checksum::fnv1a;
+/// Length of a log file holding `records` bytes of records: the magic is
+/// there exactly when a record is.
+fn file_len(records: u64) -> u64 {
+    if records == 0 {
+        0
+    } else {
+        WAL_MAGIC.len() as u64 + records
+    }
+}
 
-fn encode(rec: &WalRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(rec.encoded_len());
+/// Appends the framed `rec` to `buf`.
+fn encode_into(rec: &WalRecord, buf: &mut Vec<u8>) {
+    let start = buf.len();
     buf.extend_from_slice(&rec.lsn.to_le_bytes());
     let mut ndim_word = rec.coords.len() as u32;
     if rec.hi.is_some() {
@@ -97,14 +116,18 @@ fn encode(rec: &WalRecord) -> Vec<u8> {
         }
     }
     buf.extend_from_slice(&rec.delta.to_le_bytes());
-    let crc = fnv1a(&buf);
+    let crc = crc32(&buf[start..]);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf
 }
 
-/// Decodes every intact record from the front of `bytes`, stopping at
-/// the first torn or corrupt record. Returns the records and how many
-/// bytes were valid (so callers may truncate the tail).
+/// Decodes every intact record of a log image, stopping at the first
+/// torn or corrupt record. Returns the records and how many bytes of the
+/// image were valid (so callers may truncate the tail): 0 when no record
+/// is intact, else the magic plus the intact records.
+///
+/// An image that does not open with [`WAL_MAGIC`] holds no records;
+/// [`decode_log`] and every path that truncates ([`Wal::open`],
+/// [`Wal::repair`]) refuse it with a typed error instead.
 ///
 /// This is the single source of truth for recovery: [`Wal::replay`],
 /// [`Wal::repair`] and the torture harness's crash-state oracle all go
@@ -112,9 +135,12 @@ fn encode(rec: &WalRecord) -> Vec<u8> {
 /// place.
 pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records: Vec<WalRecord> = Vec::new();
+    let Some(body) = bytes.strip_prefix(&WAL_MAGIC[..]) else {
+        return (records, 0);
+    };
     let mut pos = 0usize;
     loop {
-        let rest = &bytes[pos..];
+        let rest = &body[pos..];
         if rest.len() < 12 {
             break;
         }
@@ -129,14 +155,14 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
         }
         let sides = if is_range { 2 } else { 1 };
         let coord_bytes = sides * ndim * 4;
-        let rec_len = 8 + 4 + coord_bytes + 8 + 8;
+        let rec_len = 8 + 4 + coord_bytes + 8 + 4;
         if rest.len() < rec_len {
             break;
         }
-        let framed = &rest[..rec_len - 8];
+        let framed = &rest[..rec_len - 4];
         // lint:allow(L2): rec_len bounds checked just above
-        let crc = u64::from_le_bytes(rest[rec_len - 8..rec_len].try_into().expect("8 bytes"));
-        if fnv1a(framed) != crc {
+        let crc = u32::from_le_bytes(rest[rec_len - 4..rec_len].try_into().expect("4 bytes"));
+        if crc32(framed) != crc {
             break;
         }
         // LSNs must be strictly increasing; a regression means the
@@ -179,7 +205,21 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
         });
         pos += rec_len;
     }
-    (records, pos as u64)
+    (records, file_len(pos as u64))
+}
+
+/// [`decode_records`] behind the magic check: a log image that is not an
+/// `RPSWAL02` log is a typed [`StorageError::Wal`], never "all torn". An
+/// empty image or a strict prefix of the magic (a torn first append) is
+/// an empty log.
+pub fn decode_log(bytes: &[u8]) -> Result<(Vec<WalRecord>, u64), StorageError> {
+    let n = bytes.len().min(WAL_MAGIC.len());
+    if bytes[..n] != WAL_MAGIC[..n] {
+        return Err(StorageError::Wal {
+            detail: "not an RPSWAL02 log (bad magic); left untouched".into(),
+        });
+    }
+    Ok(decode_records(bytes))
 }
 
 /// Byte-level log storage: append-only writes plus truncation, behind
@@ -283,9 +323,10 @@ impl LogFile for FsLogFile {
 pub struct Wal<L: LogFile = FsLogFile> {
     log: L,
     next_lsn: u64,
-    /// Bytes of the log known to hold intact records. Appends extend it
-    /// only on success; a failed append truncates back to it, so garbage
-    /// from a torn write can never sit *between* valid records.
+    /// Bytes of intact records in the log (the magic excluded). Appends
+    /// extend it only on success; a failed append truncates back to it,
+    /// so garbage from a torn write can never sit *between* valid
+    /// records.
     valid_len: u64,
     /// Set when a failed append could not be rolled back: the tail may
     /// hold garbage that would swallow later appends at replay, so the
@@ -299,7 +340,8 @@ impl Wal<FsLogFile> {
     ///
     /// Any torn tail left by a crash is truncated first — otherwise new
     /// appends would land behind garbage that replay treats as the end
-    /// of the log, silently losing them.
+    /// of the log, silently losing them. A file that is not an
+    /// `RPSWAL02` log is refused ([`StorageError::Wal`]) and left as is.
     pub fn open(path: &Path) -> Result<Wal<FsLogFile>, StorageError> {
         let (wal, _) = Wal::from_log(FsLogFile::open(path)?)?;
         Ok(wal)
@@ -312,7 +354,9 @@ impl Wal<FsLogFile> {
 
     /// Reads every intact record from the start of the log at `path`,
     /// stopping at the first torn or corrupt record (returning how many
-    /// bytes were valid, so callers may truncate the tail).
+    /// bytes were valid, so callers may truncate the tail). Read-only,
+    /// so it follows [`decode_records`]: a file without the magic holds
+    /// no records.
     pub fn replay(path: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -323,27 +367,23 @@ impl Wal<FsLogFile> {
     }
 
     /// Drops the torn tail after a crash: truncates the log to its last
-    /// intact record.
+    /// intact record. Refuses a file that is not an `RPSWAL02` log.
     pub fn repair(path: &Path) -> Result<Vec<WalRecord>, StorageError> {
-        let (records, valid) = Wal::replay(path)?;
-        if path.exists() {
-            let f = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| StorageError::io("open WAL file", e))?;
-            f.set_len(valid)
-                .map_err(|e| StorageError::io("truncate WAL", e))?;
+        if !path.exists() {
+            return Ok(Vec::new());
         }
+        let (_, records) = Wal::from_log(FsLogFile::open(path)?)?;
         Ok(records)
     }
 }
 
 impl<L: LogFile> Wal<L> {
     /// Wraps an opened [`LogFile`], truncating any torn tail and
-    /// returning the intact records found (recovery input).
+    /// returning the intact records found (recovery input). A log that
+    /// is not an `RPSWAL02` log is refused before anything is truncated.
     pub fn from_log(mut log: L) -> Result<(Wal<L>, Vec<WalRecord>), StorageError> {
         let bytes = log.read_all()?;
-        let (records, valid) = decode_records(&bytes);
+        let (records, valid) = decode_log(&bytes)?;
         if valid < bytes.len() as u64 {
             log.truncate(valid)?;
             crate::obs::storage().wal_torn_trims.inc();
@@ -353,7 +393,7 @@ impl<L: LogFile> Wal<L> {
             Wal {
                 log,
                 next_lsn,
-                valid_len: valid,
+                valid_len: valid.saturating_sub(WAL_MAGIC.len() as u64),
                 poisoned: false,
             },
             records,
@@ -438,14 +478,20 @@ impl<L: LogFile> Wal<L> {
     }
 
     fn append_record(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
-        let bytes = encode(rec);
+        // The magic rides in the first record's append, so a torn first
+        // append leaves at most a prefix of it: an empty log.
+        let mut bytes = Vec::with_capacity(WAL_MAGIC.len() + rec.encoded_len());
+        if self.valid_len == 0 {
+            bytes.extend_from_slice(&WAL_MAGIC);
+        }
+        encode_into(rec, &mut bytes);
         let m = crate::obs::storage();
         m.wal_appends.inc();
         let sw = rps_obs::Stopwatch::start();
         match self.log.append(&bytes) {
             Ok(()) => {
                 sw.record(&m.wal_append_ns);
-                self.valid_len += bytes.len() as u64;
+                self.valid_len += rec.encoded_len() as u64;
                 self.next_lsn += 1;
                 Ok(rec.lsn)
             }
@@ -455,7 +501,7 @@ impl<L: LogFile> Wal<L> {
                 // cut it off so the next append starts at a record
                 // boundary.
                 m.wal_torn_trims.inc();
-                if self.log.truncate(self.valid_len).is_err() {
+                if self.log.truncate(file_len(self.valid_len)).is_err() {
                     self.poisoned = true;
                 }
                 Err(e)
@@ -466,9 +512,10 @@ impl<L: LogFile> Wal<L> {
     /// Rolls back the most recent successful append (used when a
     /// required post-append sync fails: leaving the record in the log
     /// would let recovery apply an update the caller saw fail).
+    /// `prev_len` is a [`Self::len`] taken before the append.
     pub fn rollback_last(&mut self, prev_len: u64, prev_next_lsn: u64) -> Result<(), StorageError> {
         crate::obs::storage().wal_rollbacks.inc();
-        if self.log.truncate(prev_len).is_err() {
+        if self.log.truncate(file_len(prev_len)).is_err() {
             self.poisoned = true;
             return Err(StorageError::Wal {
                 detail: "rollback truncation failed; log poisoned".into(),
@@ -516,7 +563,8 @@ impl<L: LogFile> Wal<L> {
         }
     }
 
-    /// Bytes of intact records currently in the log.
+    /// Bytes of intact records currently in the log, the 8-byte magic
+    /// excluded.
     pub fn len(&self) -> u64 {
         self.valid_len
     }
@@ -618,8 +666,8 @@ mod tests {
         }
         // Flip a byte inside the second record.
         let mut bytes = std::fs::read(&path).unwrap();
-        let first_len = 8 + 4 + 4 + 8 + 8;
-        bytes[first_len + 14] ^= 0xFF;
+        let first_len = 8 + 4 + 4 + 8 + 4;
+        bytes[WAL_MAGIC.len() + first_len + 14] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let (recs, _) = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 1);
@@ -773,7 +821,7 @@ mod tests {
             .write(true)
             .open(&path)
             .unwrap()
-            .set_len(len - 18)
+            .set_len(len - 14)
             .unwrap();
         let recs = Wal::repair(&path).unwrap();
         assert_eq!(recs.len(), 1);
@@ -824,7 +872,7 @@ mod tests {
         bad.extend_from_slice(&9u32.to_le_bytes()); // lo = 9
         bad.extend_from_slice(&3u32.to_le_bytes()); // hi = 3 < lo
         bad.extend_from_slice(&1i64.to_le_bytes());
-        let crc = rps_core::checksum::fnv1a(&bad);
+        let crc = crc32(&bad);
         bad.extend_from_slice(&crc.to_le_bytes());
         bytes.extend_from_slice(&bad);
         std::fs::write(&path, &bytes).unwrap();

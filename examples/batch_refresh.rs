@@ -7,9 +7,15 @@
 //! cargo run --release --example batch_refresh
 //! ```
 
-use rps::core::snapshot;
+use rps::storage::{decode_snapshot, encode_snapshot, SnapshotState};
 use rps::workload::SalesScenario;
 use rps::{RangeSumEngine, RpsEngine};
+
+/// The engine as one `RPSSNAP1` artifact (docs/FORMATS.md).
+fn snapshot(engine: &RpsEngine<i64>) -> Vec<u8> {
+    let (dims, box_size, cells) = engine.capture();
+    encode_snapshot(0, &dims, &box_size, &cells).unwrap()
+}
 
 fn main() {
     const AGES: usize = 100;
@@ -19,8 +25,7 @@ fn main() {
     // Day 0: initial load, built in parallel, persisted.
     let base = scenario.base_cube();
     let mut engine = RpsEngine::from_cube_parallel(&base, 4);
-    let mut store = Vec::new();
-    snapshot::save_rps(&engine, &mut store).unwrap();
+    let mut store = snapshot(&engine);
     println!(
         "initial load: {} cells, box size {:?}, snapshot {} bytes",
         engine.shape().len(),
@@ -34,7 +39,9 @@ fn main() {
         .enumerate()
     {
         // Restore yesterday's state (round-trips the snapshot).
-        let mut restored: RpsEngine<i64> = snapshot::load_rps(&store[..]).unwrap();
+        let (header, cells) = decode_snapshot(&store).unwrap();
+        let mut restored =
+            RpsEngine::<i64>::restore(&header.dims, &header.box_size, cells).unwrap();
         let before = restored.total();
 
         let batch: Vec<(Vec<usize>, i64)> = scenario
@@ -61,8 +68,7 @@ fn main() {
             (restored.shape().ndim() as f64 + 2.0) * restored.shape().len() as f64,
         );
 
-        store.clear();
-        snapshot::save_rps(&restored, &mut store).unwrap();
+        store = snapshot(&restored);
         engine = restored;
     }
 

@@ -4,7 +4,9 @@
 # dir, drives it with `rps-cube client` round trips — including an
 # over-quota batch that must come back as a typed `quota_batch` reject —
 # scrapes /metrics off the same port, then asks for a graceful drain and
-# asserts the server checkpointed its tenant and exited 0.
+# asserts the server checkpointed its tenant and exited 0. Finally it
+# runs the offline runbook of docs/OPERATIONS.md on the tenant's
+# directory: the CLI must read the snapshots and WAL the server wrote.
 #
 # Usage:
 #   scripts/serve_smoke.sh            # build release binaries and run
@@ -86,6 +88,15 @@ wait "$SERVER_PID" || { echo "FAIL: server exited nonzero"; cat "$SERVER_LOG"; e
 trap - EXIT
 grep -q "^drained:" "$SERVER_LOG" || { echo "FAIL: no drain report"; cat "$SERVER_LOG"; exit 1; }
 grep -q "checkpoint smoke @ lsn" "$SERVER_LOG" || { echo "FAIL: no final checkpoint"; cat "$SERVER_LOG"; exit 1; }
+
+# Offline runbook (docs/OPERATIONS.md) on the drained tenant's directory.
+TENANT_DIR="$SMOKE_DIR/data/smoke"
+"$CUBE" snapshot verify --dir "$TENANT_DIR/snapshots" || { echo "FAIL: snapshot verify"; exit 1; }
+"$CUBE" verify --wal "$TENANT_DIR/wal.log" || { echo "FAIL: verify --wal"; exit 1; }
+"$CUBE" recover --dir "$TENANT_DIR/snapshots" --wal "$TENANT_DIR/wal.log" \
+  --dims 32x32 --out "$SMOKE_DIR/smoke.rps" || { echo "FAIL: recover"; exit 1; }
+"$CUBE" query --file "$SMOKE_DIR/smoke.rps" --range 0,0:31,31 | tee "$SMOKE_DIR/offline.out"
+grep -q "= 7 " "$SMOKE_DIR/offline.out" || { echo "FAIL: offline recovery must sum to 7"; exit 1; }
 
 echo "serve smoke: OK (drain report below)"
 grep -A2 "^drained:" "$SERVER_LOG"
