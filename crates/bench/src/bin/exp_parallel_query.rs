@@ -1,6 +1,6 @@
 //! Query-batch throughput baseline: the sharded parallel front-end
 //! (`query_many_parallel`) against serial `query_many`, plus the
-//! lane-width kernels against their retained scalar twins, emitted as
+//! lane-width update kernel against its retained scalar twin, emitted as
 //! the `exp_parallel_query` section of `BENCH_THROUGHPUT.json` (shared
 //! with `exp_mixed_readwrite`; see `rps_bench::throughput`).
 //!
@@ -73,26 +73,12 @@ fn run_scenario(
         result_names.push(format!("query_many_parallel_t{threads}"));
     }
 
-    // Lane kernels vs their retained scalar twins over one RP-stride-wide
-    // row: the innermost loop every sweep/update/build decomposes into.
+    // The lane update kernel vs its retained scalar twin over one
+    // RP-stride-wide row: the innermost loop of every update cascade.
     let row_len = dims[dims.len() - 1].max(kernels::LANES);
     let kernel_rounds = (rounds * batch_len).max(1);
     let mut lane_buf = vec![1i64; row_len];
-    let src: Vec<i64> = (0..row_len as i64).collect();
-    let (m, _) = measure_batch(kernel_rounds, 1, || {
-        kernels::add_rows(&mut lane_buf, &src);
-        lane_buf[0]
-    });
-    results.push(m);
-    result_names.push("lane_add_rows".to_string());
     let mut scalar_buf = vec![1i64; row_len];
-    let (m, _) = measure_batch(kernel_rounds, 1, || {
-        kernels::add_rows_scalar(&mut scalar_buf, &src);
-        scalar_buf[0]
-    });
-    results.push(m);
-    result_names.push("scalar_add_rows".to_string());
-
     let (m, _) = measure_batch(kernel_rounds, 1, || {
         kernels::add_delta_run(&mut lane_buf, &3);
         lane_buf[0]
@@ -105,7 +91,10 @@ fn run_scenario(
     });
     results.push(m);
     result_names.push("scalar_add_delta".to_string());
-    assert_eq!(lane_buf, scalar_buf, "lane kernels must match scalar twins");
+    assert_eq!(
+        lane_buf, scalar_buf,
+        "lane kernel must match its scalar twin"
+    );
 
     Scenario {
         name: name.to_string(),

@@ -14,8 +14,9 @@
 //! on one thread, each scenario runs start-to-finish in a single `#[test]`.
 
 use ndcube::Region;
-use rps_bench::alloc_counter::{thread_allocs, CountingAllocator};
-use rps_core::{RangeSumEngine, RpsEngine};
+use rps_bench::alloc_counter::{thread_alloc_bytes, thread_allocs, CountingAllocator};
+use rps_core::{RangeSumEngine, RpsEngine, VersionedEngine};
+use rps_storage::{DeviceConfig, DiskRpsEngine};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen};
 
 #[global_allocator]
@@ -30,6 +31,42 @@ const OPS: usize = 2_000;
 fn engine_for(dims: &[usize]) -> RpsEngine<i64> {
     let cube = CubeGen::new(0xA110C).uniform(dims, -50, 50).expect("dims");
     RpsEngine::from_cube(&cube)
+}
+
+/// Runs `check` on the `query_many` of every storage that answers through
+/// the shared batch path — the flat engine, a versioned snapshot and a
+/// disk engine whose pool holds every page — after one warm-up batch
+/// each (sizes the thread-local scratch, faults in the pages).
+fn for_each_batch_path(
+    dims: &[usize],
+    regions: &[Region],
+    check: impl Fn(&str, &dyn Fn() -> Vec<i64>),
+) {
+    let engine = engine_for(dims);
+    let snap = VersionedEngine::new(engine_for(dims)).snapshot();
+    let (k, frames) = (engine.grid().box_size()[0], 64);
+    let disk = DiskRpsEngine::from_cube_uniform(
+        &engine.to_cube(),
+        k,
+        DeviceConfig { cells_per_page: 64 },
+        frames,
+    )
+    .expect("disk engine");
+    assert!(disk.rp_pages() <= frames, "the pool must hold every page");
+    let expected = engine.query_many(regions).expect("in bounds");
+    let batches: [(&str, &dyn Fn() -> Vec<i64>); 3] = [
+        ("serial", &|| engine.query_many(regions).expect("in bounds")),
+        ("snapshot", &|| snap.query_many(regions).expect("in bounds")),
+        ("disk", &|| disk.query_many(regions).expect("in bounds")),
+    ];
+    for (name, batch) in batches {
+        assert_eq!(
+            batch(),
+            expected,
+            "{name} query_many must answer identically"
+        );
+        check(name, batch);
+    }
 }
 
 /// Runs the warm/measure protocol for one cube shape and returns the
@@ -173,8 +210,8 @@ fn instrumented_lane_kernels_stay_alloc_free() {
 /// coordinate vectors, so a batch performs only a small per-batch
 /// constant of allocations (the output `Vec` plus the pre-sized cache
 /// table) regardless of batch length — ≈0 allocs/op amortized. The
-/// versioned engine's snapshot `query_many` shares the same kernel and
-/// the same bound.
+/// versioned snapshot and the disk engine share the batch path and the
+/// bound.
 #[test]
 fn query_many_batches_stay_near_zero_alloc() {
     const BATCH: usize = 512;
@@ -183,42 +220,56 @@ fn query_many_batches_stay_near_zero_alloc() {
     const PER_BATCH_BUDGET: u64 = 4;
 
     let dims = [48usize, 48];
-    let engine = engine_for(&dims);
-    let versioned = rps_core::VersionedEngine::new(engine_for(&dims));
     let regions: Vec<Region> = QueryGen::new(&dims, 7, RegionSpec::Fraction(0.5)).take(BATCH);
+    for_each_batch_path(&dims, &regions, |name, batch| {
+        let before = thread_allocs();
+        let mut sink = 0i64;
+        for _ in 0..ROUNDS {
+            sink = sink.wrapping_add(batch().last().copied().unwrap_or(0));
+        }
+        let allocs = thread_allocs() - before;
+        assert!(sink != i64::MIN, "checksum sentinel");
+        assert!(
+            allocs <= ROUNDS * PER_BATCH_BUDGET,
+            "{name} query_many allocated {allocs} times across {ROUNDS} \
+             batches of {BATCH} ops (budget {PER_BATCH_BUDGET}/batch)"
+        );
+    });
+}
 
-    // Warm-up sizes the thread-local scratch.
-    let expected = engine.query_many(&regions).expect("in bounds");
+/// The corner cache is bounded by the cube, not by the request: 64
+/// one-cell regions on the 4096-cell `[2; 12]` cube name up to 64 · 2^12
+/// corners, but only 4096 distinct ones exist. Every storage's batch must
+/// request no more bytes than its output plus one cache table sized for
+/// the cube's cells.
+#[test]
+fn query_many_cache_is_bounded_by_the_cube() {
+    const D: usize = 12;
+    let cells = 1usize << D;
+    let regions: Vec<Region> = (0..64)
+        .map(|i| {
+            let lin = i * 61 % cells;
+            let coords: Vec<usize> = (0..D).map(|b| (lin >> (D - 1 - b)) & 1).collect();
+            Region::point(&coords).expect("in bounds")
+        })
+        .collect();
+    let before = thread_alloc_bytes();
+    drop(std::collections::HashMap::<usize, i64>::with_capacity(
+        cells,
+    ));
+    let table_bytes = thread_alloc_bytes() - before;
+    let budget = table_bytes + (regions.len() * std::mem::size_of::<i64>()) as u64;
 
-    let before = thread_allocs();
-    let mut sink = 0i64;
-    for _ in 0..ROUNDS {
-        let out = engine.query_many(&regions).expect("in bounds");
-        sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
-    }
-    let serial_allocs = thread_allocs() - before;
-
-    let snap = versioned.snapshot();
-    let warm = snap.query_many(&regions).expect("in bounds");
-    assert_eq!(warm, expected, "snapshot must answer identically");
-    let before = thread_allocs();
-    for _ in 0..ROUNDS {
-        let out = snap.query_many(&regions).expect("in bounds");
-        sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
-    }
-    let snapshot_allocs = thread_allocs() - before;
-
-    assert!(sink != i64::MIN, "checksum sentinel");
-    assert!(
-        serial_allocs <= ROUNDS * PER_BATCH_BUDGET,
-        "serial query_many allocated {serial_allocs} times across {ROUNDS} \
-         batches of {BATCH} ops (budget {PER_BATCH_BUDGET}/batch)"
-    );
-    assert!(
-        snapshot_allocs <= ROUNDS * PER_BATCH_BUDGET,
-        "snapshot query_many allocated {snapshot_allocs} times across {ROUNDS} \
-         batches of {BATCH} ops (budget {PER_BATCH_BUDGET}/batch)"
-    );
+    for_each_batch_path(&[2; D], &regions, |name, batch| {
+        let before = thread_alloc_bytes();
+        batch();
+        let bytes = thread_alloc_bytes() - before;
+        assert!(
+            bytes <= budget,
+            "{name} query_many requested {bytes} bytes for 64 regions on {cells} cells \
+             (budget: output + a {table_bytes}-byte table sized by the cube)"
+        );
+    });
 }
 
 /// Dimensionality changes re-size the shared thread-local scratch; after

@@ -48,14 +48,14 @@ pub fn prefix_sums_in_place<T: GroupValue>(a: &mut NdCube<T>) {
 /// not a multiple of `k` — the box-boundary reset of the RP sweep)
 /// accumulates its predecessor along `dim`.
 ///
-/// Two regimes, both built on the lane kernels:
+/// Two regimes, both built on the run kernels:
 ///
 /// * `stride == 1` (the innermost dimension): each period is one
 ///   contiguous run and the running sum is a loop-carried scan —
 ///   [`kernels::prefix_scan_run`] per run.
 /// * `stride > 1` (outer dimensions): consecutive coordinates are rows of
 ///   `stride` contiguous cells that combine *elementwise*
-///   ([`kernels::add_rows`], lane-widened), tiled into
+///   ([`kernels::add_rows`]), tiled into
 ///   [`kernels::tile_width`]-sized column blocks so the row pair being
 ///   combined stays resident in L1 across the whole coordinate walk.
 ///
@@ -70,7 +70,6 @@ pub(crate) fn sweep_dim_forward<T: GroupValue>(data: &mut [T], stride: usize, n:
     }
     let period = stride * n;
     let tile = kernels::tile_width::<T>(stride);
-    let mut lane_rows = 0u64;
     let mut base = 0usize;
     while base < data.len() {
         let block = &mut data[base..base + period];
@@ -84,21 +83,16 @@ pub(crate) fn sweep_dim_forward<T: GroupValue>(data: &mut [T], stride: usize, n:
                 let row = coord * stride;
                 let (prev, cur) = block.split_at_mut(row);
                 kernels::add_rows(&mut cur[col..col + w], &prev[row - stride + col..][..w]);
-                lane_rows += u64::from(kernels::is_lane_run(w));
             }
             col += w;
         }
         base += period;
     }
-    if lane_rows > 0 {
-        // Coalesced: one relaxed add per sweep, not one per row.
-        crate::obs::core().lane_runs.add(lane_rows);
-    }
 }
 
 /// The inverse of [`sweep_dim_backward`]'s forward twin: processes
 /// coordinates in descending order so each cell subtracts a predecessor
-/// that is still in its summed state. Same lane/tile structure as
+/// that is still in its summed state. Same tile structure as
 /// [`sweep_dim_forward`] with [`kernels::sub_rows`] /
 /// [`kernels::inverse_prefix_scan_run`].
 pub(crate) fn sweep_dim_backward<T: GroupValue>(data: &mut [T], stride: usize, n: usize, k: usize) {
@@ -130,8 +124,8 @@ pub(crate) fn sweep_dim_backward<T: GroupValue>(data: &mut [T], stride: usize, n
     }
 }
 
-/// The original per-cell sweeps, kept verbatim as the oracle the lane
-/// kernels are property-tested against (bit-identical results for every
+/// The original per-cell sweeps, kept verbatim as the oracle the row
+/// sweeps are property-tested against (bit-identical results for every
 /// dimension, stride, and box size k, including k = 1 and non-divisible
 /// n/k tails).
 #[cfg(test)]
@@ -431,8 +425,8 @@ mod tests {
 
     #[test]
     fn lane_sweeps_match_oracle_on_wide_rows() {
-        // A stride (37) well past one lane exercises full chunks, the
-        // remainder tail, and tiling in a single deterministic case.
+        // A stride (37) wider than `LANES` exercises whole-row combines
+        // and tiling in a single deterministic case.
         let dims = [7usize, 37];
         let shape = Shape::new(&dims).unwrap();
         let data: Vec<i64> = (0..shape.len())
@@ -474,7 +468,7 @@ mod sweep_props {
     }
 
     proptest! {
-        /// The lane-widened sweeps are bit-identical to the retained
+        /// The row sweeps are bit-identical to the retained
         /// per-cell oracle for every dimension, every stride, and box
         /// sizes k ∈ {1, random, ∞} — including non-divisible n/k tails
         /// — and backward exactly inverts forward.

@@ -67,7 +67,7 @@ pub fn build_overlay<T: GroupValue>(a: &NdCube<T>, rp: &NdCube<T>, grid: BoxGrid
 /// groups, and within every group `z < d−1` the last dimension is the
 /// fastest mixed-radix digit — so `extents[d−1]` consecutive slots map to
 /// `extents[d−1]` consecutive cube cells, and the whole run is one call
-/// of the fused lane kernel [`kernels::border_from_p_run`]
+/// of the fused run kernel [`kernels::border_from_p_run`]
 /// (`border = P − RP − anchor`, §3.3). Only the final group (`z = d−1`,
 /// whose cells sit a full row apart in the cube) is handled cell-wise.
 #[allow(clippy::too_many_lines)] // one arm per slot group; splitting obscures the odometer walk
@@ -92,7 +92,6 @@ pub fn build_overlay_from_p<T: GroupValue>(
 
     let mut e = vec![0usize; d];
     let mut coords = vec![0usize; d];
-    let mut lane_runs = 0u64;
     ndcube::RegionIter::for_each_coords(&grid_region, |b| {
         let box_lin = grid_shape.linear_unchecked(b);
         let cell_base = box_offsets[box_lin];
@@ -140,7 +139,6 @@ pub fn build_overlay_from_p<T: GroupValue>(
                         &rp_data[lin0..lin0 + t_last],
                         &anchor_val,
                     );
-                    lane_runs += u64::from(kernels::is_lane_run(t_last));
                     // Advance the outer odometer (dims except z and d−1).
                     let mut dim = d - 1;
                     loop {
@@ -211,10 +209,6 @@ pub fn build_overlay_from_p<T: GroupValue>(
         // write it last so the run path needs no special case.
         cells[cell_base] = anchor_val;
     });
-    if lane_runs > 0 {
-        // Coalesced: one relaxed add per build, not one per run.
-        crate::obs::core().lane_runs.add(lane_runs);
-    }
     overlay
 }
 

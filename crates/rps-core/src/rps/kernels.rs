@@ -1,26 +1,28 @@
-//! Fixed-width lane kernels for the contiguous innermost-axis runs.
+//! Kernels for the contiguous innermost-axis runs.
 //!
 //! Row-major layout makes the last dimension the only contiguous one, so
 //! every hot loop in the workspace — the RP update cascade, the build
 //! sweeps, the overlay reconstruction — ultimately reduces to one of a
 //! handful of operations over a contiguous run of cells. This module is
-//! the single home for those operations, written so stable `rustc`
-//! autovectorizes them: each kernel walks the run as `LANES`-wide chunks
-//! via `chunks_exact` (a shape LLVM reliably turns into SIMD for the
-//! primitive `GroupValue` instances) and finishes with a scalar remainder
-//! tail. No nightly `std::simd`, no unsafe, no dependencies.
+//! the single home for those operations. No nightly `std::simd`, no
+//! unsafe, no dependencies.
 //!
-//! The `_scalar` twins are the retained one-cell-at-a-time forms. They
-//! are not dead code: the property tests pin the lane kernels bit-identical
-//! to them (including non-multiple-of-`LANES` tails and runs shorter than
-//! one lane), and `exp_parallel_query` benches both paths side by side so
-//! BENCH_THROUGHPUT.json records what the widening buys.
+//! Each kernel keeps whichever form measured faster. Two walk the run as
+//! `LANES`-wide chunks via `chunks_exact` (a shape LLVM reliably turns
+//! into SIMD for the primitive `GroupValue` instances) and finish with a
+//! scalar remainder tail: [`add_delta_run`] and [`sum_run`]. Each keeps a
+//! `_scalar` twin, the one-cell-at-a-time form: the property tests pin
+//! the lane kernel bit-identical to it (including non-multiple-of-`LANES`
+//! tails and runs shorter than one lane), and `exp_parallel_query` times
+//! both side by side. The row combines ([`add_rows`], [`sub_rows`]) and
+//! the fused border kernel ([`border_from_p_run`]) are plain zipped loops:
+//! their chunked forms ran about twice as slow on rows of 64–1024 `i64`.
 //!
 //! The scan kernels ([`prefix_scan_run`], [`inverse_prefix_scan_run`])
 //! stay deliberately scalar: a prefix sum along the run *is* a loop-carried
 //! dependence chain, so the win there is restructuring callers to call
 //! them once per run instead of once per cell — the outer-axis sweeps in
-//! `crate::prefix` widen across the run via [`add_rows`]/[`sub_rows`]
+//! `crate::prefix` combine whole rows via [`add_rows`]/[`sub_rows`]
 //! instead, with [`tile_width`]-sized column blocks so the row pair being
 //! combined stays resident in L1.
 //!
@@ -40,9 +42,9 @@ pub const LANES: usize = 8;
 /// accumulating row and its predecessor).
 const L1_TILE_BYTES: usize = 16 * 1024;
 
-/// Whether a run of `len` cells takes the lane path (at least one full
-/// `LANES` chunk) — the predicate behind the `rps_lane_runs_total`
-/// observability counter.
+/// Whether a run of `len` cells takes the lane path of [`add_delta_run`]
+/// (at least one full `LANES` chunk) — the predicate behind the
+/// `rps_lane_runs_total` observability counter.
 #[inline]
 #[must_use]
 pub fn is_lane_run(len: usize) -> bool {
@@ -85,25 +87,9 @@ pub fn add_delta_run_scalar<T: GroupValue>(run: &mut [T], delta: &T) {
 }
 
 /// Elementwise `dst[i] ⊕= src[i]` over two equal-length rows — the inner
-/// step of every outer-axis forward sweep, widened to `LANES` chunks.
+/// step of every outer-axis forward sweep.
 #[inline]
 pub fn add_rows<T: GroupValue>(dst: &mut [T], src: &[T]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for (x, y) in dc.iter_mut().zip(sc) {
-            x.add_assign(y);
-        }
-    }
-    for (x, y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        x.add_assign(y);
-    }
-}
-
-/// The retained scalar form of [`add_rows`] (oracle + baseline).
-#[inline]
-pub fn add_rows_scalar<T: GroupValue>(dst: &mut [T], src: &[T]) {
     debug_assert_eq!(dst.len(), src.len());
     for (x, y) in dst.iter_mut().zip(src) {
         x.add_assign(y);
@@ -115,22 +101,6 @@ pub fn add_rows_scalar<T: GroupValue>(dst: &mut [T], src: &[T]) {
 #[inline]
 pub fn sub_rows<T: GroupValue>(dst: &mut [T], src: &[T]) {
     debug_assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for (x, y) in dc.iter_mut().zip(sc) {
-            x.sub_assign(y);
-        }
-    }
-    for (x, y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        x.sub_assign(y);
-    }
-}
-
-/// The retained scalar form of [`sub_rows`] (oracle + baseline).
-#[inline]
-pub fn sub_rows_scalar<T: GroupValue>(dst: &mut [T], src: &[T]) {
-    debug_assert_eq!(dst.len(), src.len());
     for (x, y) in dst.iter_mut().zip(src) {
         x.sub_assign(y);
     }
@@ -138,28 +108,9 @@ pub fn sub_rows_scalar<T: GroupValue>(dst: &mut [T], src: &[T]) {
 
 /// Overlay border reconstruction over one run of stored cells:
 /// `dst[i] = p[i] ⊖ rp[i] ⊖ anchor` (the §3.3 border identity), fused so
-/// the three streams are read once each, `LANES` cells at a time.
+/// the three streams are read once each.
 #[inline]
 pub fn border_from_p_run<T: GroupValue>(dst: &mut [T], p: &[T], rp: &[T], anchor: &T) {
-    debug_assert_eq!(dst.len(), p.len());
-    debug_assert_eq!(dst.len(), rp.len());
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut ps = p.chunks_exact(LANES);
-    let mut rs = rp.chunks_exact(LANES);
-    for ((dc, pc), rc) in (&mut d).zip(&mut ps).zip(&mut rs) {
-        for ((x, pv), rv) in dc.iter_mut().zip(pc).zip(rc) {
-            *x = pv.sub(rv).sub(anchor);
-        }
-    }
-    let tail = d.into_remainder();
-    for ((x, pv), rv) in tail.iter_mut().zip(ps.remainder()).zip(rs.remainder()) {
-        *x = pv.sub(rv).sub(anchor);
-    }
-}
-
-/// The retained scalar form of [`border_from_p_run`] (oracle + baseline).
-#[inline]
-pub fn border_from_p_run_scalar<T: GroupValue>(dst: &mut [T], p: &[T], rp: &[T], anchor: &T) {
     debug_assert_eq!(dst.len(), p.len());
     debug_assert_eq!(dst.len(), rp.len());
     for ((x, pv), rv) in dst.iter_mut().zip(p).zip(rp) {
@@ -352,34 +303,6 @@ mod props {
             let mut b = a.clone();
             add_delta_run(&mut a, &delta);
             add_delta_run_scalar(&mut b, &delta);
-            prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn add_rows_lane_matches_scalar(mut a in run(), seed in -50i64..50) {
-            let src: Vec<i64> = (0..a.len()).map(|i| seed + i as i64).collect();
-            let mut b = a.clone();
-            add_rows(&mut a, &src);
-            add_rows_scalar(&mut b, &src);
-            prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn sub_rows_lane_matches_scalar(mut a in run(), seed in -50i64..50) {
-            let src: Vec<i64> = (0..a.len()).map(|i| seed - i as i64).collect();
-            let mut b = a.clone();
-            sub_rows(&mut a, &src);
-            sub_rows_scalar(&mut b, &src);
-            prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn border_lane_matches_scalar(p in run(), anchor in -100i64..100) {
-            let rp: Vec<i64> = p.iter().map(|&v| v / 2 - 7).collect();
-            let mut a = vec![0i64; p.len()];
-            let mut b = vec![0i64; p.len()];
-            border_from_p_run(&mut a, &p, &rp, &anchor);
-            border_from_p_run_scalar(&mut b, &p, &rp, &anchor);
             prop_assert_eq!(a, b);
         }
 

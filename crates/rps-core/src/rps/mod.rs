@@ -23,6 +23,7 @@ mod invariants;
 pub mod kernels;
 mod overlay;
 mod parallel;
+mod query;
 mod scratch;
 mod update;
 
@@ -33,8 +34,9 @@ pub use grid::BoxGrid;
 pub use invariants::Violation;
 pub use overlay::Overlay;
 pub(crate) use overlay::{overlay_prefix_part_src, OverlaySource};
-pub(crate) use parallel::{effective_threads, slab_sizes};
 pub use parallel::{prefix_sums_parallel, relative_prefix_sums_parallel};
+pub(crate) use query::range_sums_parallel;
+pub use query::{range_sum, range_sums, PrefixSource};
 pub use scratch::{with_scratch, KernelScratch, Scratch};
 pub use update::{
     apply_overlay_update, apply_overlay_update_with, apply_range_update_with, apply_update,
@@ -45,8 +47,8 @@ pub(crate) use update::{overlay_range_walk, overlay_update_walk, rp_range_box};
 
 use ndcube::{NdCube, NdError, Region, Shape};
 
-use crate::corners::range_sum_from_prefix_with;
 use crate::engine::RangeSumEngine;
+use crate::obs::EngineKind;
 use crate::stats::{CostStats, StatsCell};
 use crate::value::GroupValue;
 
@@ -236,25 +238,9 @@ impl<T: GroupValue> RpsEngine<T> {
     /// exploits.
     pub fn prefix_sum(&self, x: &[usize]) -> Result<T, NdError> {
         self.rp.shape().check(x)?;
-        Ok(with_scratch(|s| {
-            let (acc, reads) = self.prefix_kernel(x, &mut s.kernel);
-            self.stats.reads(reads);
-            acc
-        }))
-    }
-
-    /// One prefix reconstruction with caller scratch: overlay part plus
-    /// the in-box RP cell. Returns (value, cells read) — no stats side
-    /// effects, so callers can coalesce many reconstructions into a
-    /// single counter add.
-    fn prefix_kernel(&self, x: &[usize], ks: &mut KernelScratch) -> (T, u64) {
-        let (mut acc, mut reads) = overlay_prefix_part_with(&self.grid, &self.overlay, x, ks);
-
-        // Plus the in-box relative prefix.
-        let lin = self.rp.shape().linear_unchecked(x);
-        acc.add_assign(self.rp.get_linear(lin));
-        reads += 1;
-        (acc, reads)
+        let (acc, reads) = with_scratch(|s| self.prefix(x, &mut s.kernel))?;
+        self.stats.reads(reads);
+        Ok(acc)
     }
 }
 
@@ -293,69 +279,34 @@ pub fn overlay_prefix_part_with<T: GroupValue>(
 
 impl<T: GroupValue> RpsEngine<T> {
     /// Answers a batch of range queries, sharing reconstructed prefix
-    /// sums across them.
+    /// sums across them through one corner cache ([`range_sums`]).
     ///
     /// Dashboards issue many related queries (rolling windows, group-bys,
     /// cross-tabs) whose 2^d corner sets overlap heavily; caching the
     /// per-corner reconstruction turns `q` queries with `s` distinct
     /// corners into `s` reconstructions instead of `2^d·q`.
     pub fn query_many(&self, regions: &[Region]) -> Result<Vec<T>, NdError> {
-        use std::collections::HashMap;
-        for r in regions {
-            self.rp.shape().check_region(r)?;
-        }
-        let d = self.rp.shape().ndim();
-        // Pre-size for the worst case — every region contributing 2^d
-        // distinct corners — so the cache never rehashes mid-batch.
-        let cap = regions.len().saturating_mul(
-            1usize
-                .checked_shl(u32::try_from(d).unwrap_or(u32::MAX))
-                .unwrap_or(usize::MAX),
-        );
-        // Corners are keyed by their linear cell index: the corner
-        // enumerator only ever hands this callback in-bounds coordinates
-        // (underflowed corners are suppressed upstream), so the linear
-        // index is collision-free — and a `usize` key needs no per-corner
-        // heap allocation, unlike the owned `Vec` keys this cache used to
-        // clone (~4 allocs per region in BENCH_THROUGHPUT.json).
-        let shape = self.rp.shape();
-        let mut cache: HashMap<usize, T> = HashMap::with_capacity(cap);
-        let mut total_reads = 0u64;
-        let mut lookups = 0u64;
-        let out = with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            regions
-                .iter()
-                .map(|r| {
-                    let sum = range_sum_from_prefix_with(r, corner_buf, |corner| {
-                        lookups += 1;
-                        // Entry API: one hash per corner whether hit or miss.
-                        cache
-                            .entry(shape.linear_unchecked(corner))
-                            .or_insert_with(|| {
-                                let (v, reads) = self.prefix_kernel(corner, ks);
-                                total_reads += reads;
-                                v
-                            })
-                            .clone()
-                    });
-                    self.stats.query();
-                    sum
-                })
-                .collect()
-        });
-        self.stats.reads(total_reads);
-        // Coalesced observability: one add per counter per batch. Misses
-        // are exactly the distinct corners the cache ended up owning.
-        let m = crate::obs::engine(crate::obs::EngineKind::Rps);
-        m.queries
-            .add(u64::try_from(regions.len()).unwrap_or(u64::MAX));
-        let misses = u64::try_from(cache.len()).unwrap_or(u64::MAX);
-        let core = crate::obs::core();
-        core.query_many_corner_misses.add(misses);
-        core.query_many_corner_hits
-            .add(lookups.saturating_sub(misses));
-        Ok(out)
+        range_sums(self, regions)
+    }
+}
+
+/// The flat arrays: one prefix reconstruction is the overlay part plus
+/// the in-box RP cell, and never fails.
+impl<T: GroupValue> PrefixSource<T> for RpsEngine<T> {
+    const KIND: EngineKind = EngineKind::Rps;
+
+    fn bounds(&self) -> &Shape {
+        self.rp.shape()
+    }
+
+    fn prefix(&self, x: &[usize], ks: &mut KernelScratch) -> Result<(T, u64), NdError> {
+        let (mut acc, reads) = overlay_prefix_part_with(&self.grid, &self.overlay, x, ks);
+        acc.add_assign(self.rp.get_linear(self.rp.shape().linear_unchecked(x)));
+        Ok((acc, reads + 1))
+    }
+
+    fn stats_cell(&self) -> Option<&StatsCell> {
+        Some(&self.stats)
     }
 }
 
@@ -369,24 +320,9 @@ impl<T: GroupValue> RangeSumEngine<T> for RpsEngine<T> {
     }
 
     fn query(&self, region: &Region) -> Result<T, NdError> {
-        self.rp.shape().check_region(region)?;
-        let m = crate::obs::engine(crate::obs::EngineKind::Rps);
-        m.queries.inc();
-        let _span = rps_obs::Span::enter("rps.query", &m.query_ns);
-        let sum = with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            let mut reads = 0u64;
-            let sum = range_sum_from_prefix_with(region, corner_buf, |corner| {
-                let (v, r) = self.prefix_kernel(corner, ks);
-                reads += r;
-                v
-            });
-            // One atomic add for the whole query, not one per corner.
-            self.stats.reads(reads);
-            sum
-        });
-        self.stats.query();
-        Ok(sum)
+        let _span =
+            rps_obs::Span::enter("rps.query", &crate::obs::engine(EngineKind::Rps).query_ns);
+        range_sum(self, region)
     }
 
     fn update(&mut self, coords: &[usize], delta: T) -> Result<(), NdError> {

@@ -25,10 +25,9 @@
 
 use ndcube::{NdCube, NdError, Region};
 
-use crate::corners::range_sum_from_prefix_with;
 use crate::rps::grid::BoxGrid;
 use crate::rps::kernels;
-use crate::rps::scratch::{KernelScratch, Scratch};
+use crate::rps::scratch::KernelScratch;
 use crate::rps::update::overlay_update_walk;
 use crate::value::GroupValue;
 
@@ -60,7 +59,7 @@ pub(crate) fn effective_threads(requested: usize) -> usize {
 ///
 /// The slab splits hand every chunk out row-aligned (and, for `stride ==
 /// 1`, aligned to whole innermost runs or box boundaries), so the sweep
-/// runs row-at-a-time through the lane kernels instead of dividing per
+/// runs row-at-a-time through the run kernels instead of dividing per
 /// cell: scans ([`kernels::prefix_scan_run`]) along the innermost
 /// dimension, elementwise row combines ([`kernels::add_rows`]) elsewhere.
 fn sweep_chunk<T: GroupValue>(
@@ -83,7 +82,7 @@ fn sweep_chunk<T: GroupValue>(
     }
     // Outer dimension: all `stride` cells of a row share one
     // `dim`-coordinate, so the divide runs once per row and the row pair
-    // combines elementwise through the lane kernel.
+    // combines elementwise.
     debug_assert!(global_offset.is_multiple_of(stride));
     debug_assert!(chunk.len().is_multiple_of(stride));
     let first = global_offset / stride;
@@ -424,114 +423,19 @@ impl<T: GroupValue + Send + Sync> crate::rps::RpsEngine<T> {
         }
     }
 
-    /// Answers a batch of range queries by sharding it across up to
-    /// `threads` scoped worker threads (the same `std::thread` idiom as
-    /// `Self::apply_updates_parallel`).
-    ///
-    /// Each shard owns a disjoint slice of the output, its own
-    /// [`Scratch`] (so the zero-allocation invariant holds per worker
-    /// after the per-shard warm-up) and its own corner cache; workers
-    /// share nothing mutable. Corner caching never changes a
-    /// reconstructed value, so the results are **bit-identical** to
-    /// [`crate::rps::RpsEngine::query_many`] and to one-at-a-time
-    /// queries. Stats and observability counters accumulate
-    /// shard-locally and merge on join, so relaxed-atomic contention
-    /// never appears on the query hot path.
-    ///
-    /// `threads ≤ 1` and batches too small to amortize the fan-out fall
-    /// back to the serial path (which also dedups corners across the
-    /// whole batch rather than per shard). The requested thread count is
-    /// first clamped to [`std::thread::available_parallelism`]
-    /// (`effective_threads`), so oversubscribed shard spawns degrade to
-    /// the serial path instead of regressing below it.
+    /// Answers a batch of range queries sharded across up to `threads`
+    /// scoped worker threads, each with its own scratch and corner cache.
+    /// Corner caching never changes a reconstructed value, so the results
+    /// are **bit-identical** to [`crate::rps::RpsEngine::query_many`].
+    /// The thread count is clamped to
+    /// [`std::thread::available_parallelism`]; one thread, or fewer than
+    /// two regions per thread, takes the serial path.
     pub fn query_many_parallel(
         &self,
         regions: &[Region],
         threads: usize,
     ) -> Result<Vec<T>, NdError> {
-        use std::collections::HashMap;
-        // Unit-test and loom builds skip the host clamp so the shard
-        // path stays exercised on 1-CPU hosts.
-        let threads = if cfg!(any(test, loom)) {
-            threads.max(1)
-        } else {
-            effective_threads(threads)
-        };
-        if threads == 1 || regions.len() < 2 * threads {
-            return self.query_many(regions);
-        }
-        for r in regions {
-            self.rp_array().shape().check_region(r)?;
-        }
-        let d = self.rp_array().shape().ndim();
-        // Worst case 2^d distinct corners per region (see query_many).
-        let corners_per_region = 1usize
-            .checked_shl(u32::try_from(d).unwrap_or(u32::MAX))
-            .unwrap_or(usize::MAX);
-        let shard_sizes = slab_sizes(regions.len(), 1, 1, threads);
-        let shape = self.rp_array().shape();
-        let mut out = vec![T::zero(); regions.len()];
-        let mut total_reads = 0u64;
-        let mut total_lookups = 0u64;
-        let mut total_misses = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shard_sizes.len());
-            let mut out_rest = out.as_mut_slice();
-            let mut reg_rest = regions;
-            for &size in &shard_sizes {
-                let (my_out, out_tail) = out_rest.split_at_mut(size);
-                out_rest = out_tail;
-                let (my_regs, reg_tail) = reg_rest.split_at(size);
-                reg_rest = reg_tail;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    let (corner_buf, ks) = scratch.split();
-                    let cap = my_regs.len().saturating_mul(corners_per_region);
-                    // Linear-index keys, like the serial path: corners are
-                    // always in-bounds, so the key is collision-free and
-                    // allocation-free.
-                    let mut cache: HashMap<usize, T> = HashMap::with_capacity(cap);
-                    let mut reads = 0u64;
-                    let mut lookups = 0u64;
-                    for (slot, r) in my_out.iter_mut().zip(my_regs) {
-                        *slot = range_sum_from_prefix_with(r, corner_buf, |corner| {
-                            lookups += 1;
-                            cache
-                                .entry(shape.linear_unchecked(corner))
-                                .or_insert_with(|| {
-                                    let (v, rd) = self.prefix_kernel(corner, ks);
-                                    reads += rd;
-                                    v
-                                })
-                                .clone()
-                        });
-                    }
-                    let misses = u64::try_from(cache.len()).unwrap_or(u64::MAX);
-                    (reads, lookups, misses)
-                }));
-            }
-            for h in handles {
-                // lint:allow(L2): a worker panic is already a bug; propagate it
-                let (reads, lookups, misses) = h.join().expect("parallel query worker panicked");
-                total_reads += reads;
-                total_lookups += lookups;
-                total_misses += misses;
-            }
-        });
-        // Shard-local counters merged on join: one relaxed add per
-        // counter per batch.
-        let n = u64::try_from(regions.len()).unwrap_or(u64::MAX);
-        self.stats.reads(total_reads);
-        self.stats.queries_n(n);
-        let m = crate::obs::engine(crate::obs::EngineKind::Rps);
-        m.queries.add(n);
-        let core = crate::obs::core();
-        core.query_many_corner_misses.add(total_misses);
-        core.query_many_corner_hits
-            .add(total_lookups.saturating_sub(total_misses));
-        core.parallel_query_shards
-            .add(u64::try_from(shard_sizes.len()).unwrap_or(u64::MAX));
-        Ok(out)
+        crate::rps::range_sums_parallel(self, regions, threads)
     }
 }
 

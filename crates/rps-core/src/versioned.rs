@@ -34,12 +34,12 @@ use crate::sync_compat::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 
 use ndcube::{NdCube, NdError, Region, Shape};
 
-use crate::corners::range_sum_from_prefix_with;
 use crate::engine::RangeSumEngine;
+use crate::obs::EngineKind;
 use crate::rps::{
-    effective_threads, kernels, overlay_prefix_part_src, overlay_range_walk, overlay_update_walk,
-    rp_range_box, slab_sizes, with_scratch, BoxGrid, KernelScratch, OverlaySource, RpsEngine,
-    Scratch,
+    kernels, overlay_prefix_part_src, overlay_range_walk, overlay_update_walk, range_sum,
+    range_sums, range_sums_parallel, rp_range_box, BoxGrid, KernelScratch, OverlaySource,
+    PrefixSource, RpsEngine,
 };
 use crate::stats::CostStats;
 use crate::value::GroupValue;
@@ -89,21 +89,13 @@ impl<T: GroupValue> VersionData<T> {
         let lin = self.shape.linear_unchecked(x);
         &self.rp_slabs[row][lin - row * self.k0 * self.stride0]
     }
-
-    /// One prefix reconstruction against this version's slabs — the same
-    /// arithmetic as [`crate::rps::overlay_prefix_part_with`], routed
-    /// through the storage-generic kernel.
-    fn prefix_kernel(&self, x: &[usize], ks: &mut KernelScratch) -> T {
-        let (mut acc, _reads) = overlay_prefix_part_src(&self.grid, self, x, ks);
-        acc.add_assign(self.rp_cell(x));
-        acc
-    }
 }
 
 /// One immutable published state of a [`VersionedEngine`].
 ///
-/// All query methods are `&self`, allocation-free after scratch warm-up
-/// (the same thread-local [`Scratch`] as [`RpsEngine`]), and
+/// All query methods are `&self` and answer through the same query path
+/// as [`RpsEngine`]: `query` is allocation-free after scratch warm-up, a
+/// batch allocates its output and one corner cache, and every answer is
 /// bit-identical to a serial [`RpsEngine`] that applied the same prefix
 /// of the update sequence.
 #[derive(Debug)]
@@ -158,15 +150,9 @@ impl<T: GroupValue> Version<T> {
     }
 
     /// Range-sum query against this version (the paper's O(1) corner
-    /// reconstruction).
+    /// reconstruction, [`range_sum`]).
     pub fn query(&self, region: &Region) -> Result<T, NdError> {
-        self.data.shape.check_region(region)?;
-        Ok(with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            range_sum_from_prefix_with(region, corner_buf, |corner| {
-                self.data.prefix_kernel(corner, ks)
-            })
-        }))
+        range_sum(self, region)
     }
 
     /// Reads one cell (a point-region query).
@@ -182,30 +168,28 @@ impl<T: GroupValue> Version<T> {
     }
 
     /// Answers a batch of range queries, sharing reconstructed prefix
-    /// sums across them (the corner cache of
-    /// [`RpsEngine::query_many`], keyed by linear cell index so the
-    /// batch stays allocation-free after warm-up).
+    /// sums across them through the corner cache of
+    /// [`RpsEngine::query_many`] ([`range_sums`]).
     pub fn query_many(&self, regions: &[Region]) -> Result<Vec<T>, NdError> {
-        use std::collections::HashMap;
-        for r in regions {
-            self.data.shape.check_region(r)?;
-        }
-        let mut cache: HashMap<usize, T> =
-            HashMap::with_capacity(corner_capacity(regions.len(), self.data.shape.ndim()));
-        Ok(with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            regions
-                .iter()
-                .map(|r| {
-                    range_sum_from_prefix_with(r, corner_buf, |corner| {
-                        cache
-                            .entry(self.data.shape.linear_unchecked(corner))
-                            .or_insert_with(|| self.data.prefix_kernel(corner, ks))
-                            .clone()
-                    })
-                })
-                .collect()
-        }))
+        range_sums(self, regions)
+    }
+}
+
+/// The copy-on-write slabs: the same overlay arithmetic as
+/// [`crate::rps::overlay_prefix_part_with`], routed through the
+/// storage-generic kernel, plus the RP cell located through its slab.
+/// A version keeps no per-instance stats.
+impl<T: GroupValue> PrefixSource<T> for Version<T> {
+    const KIND: EngineKind = EngineKind::Rps;
+
+    fn bounds(&self) -> &Shape {
+        &self.data.shape
+    }
+
+    fn prefix(&self, x: &[usize], ks: &mut KernelScratch) -> Result<(T, u64), NdError> {
+        let (mut acc, reads) = overlay_prefix_part_src(&self.data.grid, &self.data, x, ks);
+        acc.add_assign(self.data.rp_cell(x));
+        Ok((acc, reads + 1))
     }
 }
 
@@ -221,63 +205,8 @@ impl<T: GroupValue + Send + Sync> Version<T> {
         regions: &[Region],
         threads: usize,
     ) -> Result<Vec<T>, NdError> {
-        use std::collections::HashMap;
-        // Unit-test and loom builds skip the host clamp so the shard
-        // path stays exercised on 1-CPU hosts.
-        let threads = if cfg!(any(test, loom)) {
-            threads.max(1)
-        } else {
-            effective_threads(threads)
-        };
-        if threads == 1 || regions.len() < 2 * threads {
-            return self.query_many(regions);
-        }
-        for r in regions {
-            self.data.shape.check_region(r)?;
-        }
-        let shard_sizes = slab_sizes(regions.len(), 1, 1, threads);
-        let cap_per_region = corner_capacity(1, self.data.shape.ndim());
-        let mut out = vec![T::zero(); regions.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shard_sizes.len());
-            let mut out_rest = out.as_mut_slice();
-            let mut reg_rest = regions;
-            for &size in &shard_sizes {
-                let (my_out, out_tail) = out_rest.split_at_mut(size);
-                out_rest = out_tail;
-                let (my_regs, reg_tail) = reg_rest.split_at(size);
-                reg_rest = reg_tail;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    let (corner_buf, ks) = scratch.split();
-                    let mut cache: HashMap<usize, T> =
-                        HashMap::with_capacity(my_regs.len().saturating_mul(cap_per_region));
-                    for (slot, r) in my_out.iter_mut().zip(my_regs) {
-                        *slot = range_sum_from_prefix_with(r, corner_buf, |corner| {
-                            cache
-                                .entry(self.data.shape.linear_unchecked(corner))
-                                .or_insert_with(|| self.data.prefix_kernel(corner, ks))
-                                .clone()
-                        });
-                    }
-                }));
-            }
-            for h in handles {
-                // lint:allow(L2): a worker panic is already a bug; propagate it
-                h.join().expect("parallel query worker panicked");
-            }
-        });
-        Ok(out)
+        range_sums_parallel(self, regions, threads)
     }
-}
-
-/// Worst-case distinct corners for a query batch: 2^d per region.
-fn corner_capacity(regions: usize, d: usize) -> usize {
-    regions.saturating_mul(
-        1usize
-            .checked_shl(u32::try_from(d).unwrap_or(u32::MAX))
-            .unwrap_or(usize::MAX),
-    )
 }
 
 /// Cells written, box granules cloned and lane-kernel runs of one

@@ -157,14 +157,17 @@ impl<T: Clone + Default> DiskArray<T> {
                 )
             }
             Layout::BoxAligned(grid) => {
-                let b = grid.box_index_of(coords);
-                let box_lin = grid.grid_shape().linear_unchecked(&b);
-                let anchor = grid.anchor_of(&b);
-                let extents = grid.extents_of(&b);
-                // Row-major local index within the box.
+                // One pass per dimension, no coordinate vectors: the box
+                // index (row-major over the grid) and the cell's offset in
+                // its clamped box (row-major within the box).
+                let mut box_lin = 0usize;
                 let mut local = 0usize;
-                for ((&c, &a), &t) in coords.iter().zip(&anchor).zip(&extents) {
-                    local = local * t + (c - a);
+                let dims = self.shape.dims().iter().zip(grid.grid_shape().dims());
+                for ((&c, &k), (&n, &g)) in coords.iter().zip(grid.box_size()).zip(dims) {
+                    let b = c / k;
+                    let anchor = b * k;
+                    box_lin = box_lin * g + b;
+                    local = local * k.min(n - anchor) + (c - anchor);
                 }
                 let page = self.box_page_offsets[box_lin] + local / self.cells_per_page;
                 (

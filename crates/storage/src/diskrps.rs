@@ -4,11 +4,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use ndcube::{NdCube, NdError, Region, Shape};
-use rps_core::corners::range_sum_from_prefix_with;
+use rps_core::obs::EngineKind;
 use rps_core::rps::{
     apply_overlay_update_with, build_overlay, for_each_rp_cascade_cell,
-    inverse_relative_prefix_sums, overlay_prefix_part_with, relative_prefix_sums, with_scratch,
-    KernelScratch,
+    inverse_relative_prefix_sums, overlay_prefix_part_with, range_sum, range_sums,
+    relative_prefix_sums, with_scratch, KernelScratch, PrefixSource,
 };
 use rps_core::{BoxGrid, CostStats, GroupValue, Overlay, RangeSumEngine, StatsCell};
 
@@ -319,14 +319,14 @@ impl<T: GroupValue + Default, S: PageStore<T>> DiskRpsEngine<T, S> {
     /// single RP read going to disk.
     pub fn prefix_sum(&self, x: &[usize]) -> Result<T, NdError> {
         self.rp.shape().check(x)?;
-        let result = with_scratch(|s| self.prefix_kernel(x, s.split().1));
-        let (acc, reads) = result.map_err(to_nd_error)?;
+        let (acc, reads) = with_scratch(|s| self.prefix(x, s.split().1))?;
         self.stats.reads(reads);
         Ok(acc)
     }
 
     /// Answers a batch of range-sum queries with a shared corner cache,
-    /// mirroring [`rps_core::RpsEngine::query_many`].
+    /// through the same batch path as [`rps_core::RpsEngine::query_many`]
+    /// ([`range_sums`]).
     ///
     /// Serial by design: the buffer pool's `RefCell` makes this engine
     /// `!Sync`, so the sharded `query_many_parallel` front-end cannot fan
@@ -334,70 +334,29 @@ impl<T: GroupValue + Default, S: PageStore<T>> DiskRpsEngine<T, S> {
     /// here — adjacent dashboard panels share corners, and every cache hit
     /// saves a buffer-pool probe (potentially a page fault).
     pub fn query_many(&self, regions: &[Region]) -> Result<Vec<T>, NdError> {
-        let shape = self.rp.shape();
-        for region in regions {
-            shape.check_region(region)?;
-        }
-        let d = shape.ndim();
-        let m = rps_core::obs::engine(rps_core::obs::EngineKind::Disk);
-        m.queries
-            .add(u64::try_from(regions.len()).unwrap_or(u64::MAX));
-        let corners_per_region = 1usize
-            .checked_shl(u32::try_from(d).unwrap_or(u32::MAX))
-            .unwrap_or(usize::MAX);
-        let cap = regions.len().saturating_mul(corners_per_region);
-        let mut cache: HashMap<Vec<usize>, T> = HashMap::with_capacity(cap.min(1 << 16));
-        let mut total_reads = 0u64;
-        let mut io_err: Option<StorageError> = None;
-        let mut out = Vec::with_capacity(regions.len());
-        with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            for region in regions {
-                if io_err.is_some() {
-                    break;
-                }
-                let sum = range_sum_from_prefix_with(region, corner_buf, |corner| {
-                    if io_err.is_some() {
-                        return T::default();
-                    }
-                    if let Some(v) = cache.get(corner) {
-                        return v.clone();
-                    }
-                    match self.prefix_kernel(corner, ks) {
-                        Ok((v, reads)) => {
-                            total_reads += reads;
-                            cache.insert(corner.to_vec(), v.clone());
-                            v
-                        }
-                        Err(e) => {
-                            io_err = Some(e);
-                            T::default()
-                        }
-                    }
-                });
-                out.push(sum);
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(to_nd_error(e));
-        }
-        self.stats.reads(total_reads);
-        self.stats
-            .queries_n(u64::try_from(regions.len()).unwrap_or(u64::MAX));
-        Ok(out)
+        range_sums(self, regions)
+    }
+}
+
+/// The buffer pool: the in-memory overlay part plus one RP read that
+/// can fail.
+impl<T: GroupValue + Default, S: PageStore<T>> PrefixSource<T> for DiskRpsEngine<T, S> {
+    const KIND: EngineKind = EngineKind::Disk;
+
+    fn bounds(&self) -> &Shape {
+        self.rp.shape()
     }
 
-    /// The prefix reconstruction without stats side effects: returns the
-    /// value and the cell-read count so callers can coalesce stats into a
-    /// single counter update per operation.
-    fn prefix_kernel(&self, x: &[usize], ks: &mut KernelScratch) -> Result<(T, u64), StorageError> {
-        let (mut acc, mut reads) = overlay_prefix_part_with(&self.grid, &self.overlay, x, ks);
-
+    fn prefix(&self, x: &[usize], ks: &mut KernelScratch) -> Result<(T, u64), NdError> {
+        let (mut acc, reads) = overlay_prefix_part_with(&self.grid, &self.overlay, x, ks);
         // The single disk access of the reconstruction: one RP cell.
-        let rp_val = self.rp.get(&mut self.pool.borrow_mut(), x)?;
-        acc.add_assign(&rp_val);
-        reads += 1;
-        Ok((acc, reads))
+        let rp_val = self.rp.get(&mut self.pool.borrow_mut(), x);
+        acc.add_assign(&rp_val.map_err(to_nd_error)?);
+        Ok((acc, reads + 1))
+    }
+
+    fn stats_cell(&self) -> Option<&StatsCell> {
+        Some(&self.stats)
     }
 }
 
@@ -411,36 +370,11 @@ impl<T: GroupValue + Default, S: PageStore<T>> RangeSumEngine<T> for DiskRpsEngi
     }
 
     fn query(&self, region: &Region) -> Result<T, NdError> {
-        self.rp.shape().check_region(region)?;
-        let m = rps_core::obs::engine(rps_core::obs::EngineKind::Disk);
-        m.queries.inc();
-        let _span = rps_obs::Span::enter("disk.query", &m.query_ns);
-        let mut total_reads = 0u64;
-        let mut io_err: Option<StorageError> = None;
-        let sum = with_scratch(|s| {
-            let (corner_buf, ks) = s.split();
-            range_sum_from_prefix_with(region, corner_buf, |corner| {
-                if io_err.is_some() {
-                    return T::default();
-                }
-                match self.prefix_kernel(corner, ks) {
-                    Ok((v, reads)) => {
-                        total_reads += reads;
-                        v
-                    }
-                    Err(e) => {
-                        io_err = Some(e);
-                        T::default()
-                    }
-                }
-            })
-        });
-        if let Some(e) = io_err {
-            return Err(to_nd_error(e));
-        }
-        self.stats.reads(total_reads);
-        self.stats.query();
-        Ok(sum)
+        let _span = rps_obs::Span::enter(
+            "disk.query",
+            &rps_core::obs::engine(EngineKind::Disk).query_ns,
+        );
+        range_sum(self, region)
     }
 
     fn update(&mut self, coords: &[usize], delta: T) -> Result<(), NdError> {

@@ -541,7 +541,9 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
                 retry: RetryPolicy::default(),
                 policy: SnapshotPolicy::default(),
                 wal_len_at_checkpoint: prefix_bytes,
-                records_since_checkpoint: 0,
+                // The replayed tail is what no snapshot covers: both
+                // halves of the trigger count it.
+                records_since_checkpoint: replayed,
             },
             RecoveryReport {
                 source,
@@ -893,6 +895,32 @@ mod tests {
         .unwrap();
         assert_eq!(report.source, RecoverySource::Snapshot(12));
         assert_eq!(r.query(&full()).unwrap(), 12);
+    }
+
+    #[test]
+    fn recovered_tail_counts_toward_the_record_trigger() {
+        let dir = tmp_dir("snaptail");
+        let wal = dir.join("ops.wal");
+        let snaps = dir.join("snaps");
+        {
+            let mut d = DurableEngine::open(fresh_8x8().unwrap(), &wal, 0).unwrap();
+            d.update(&[0, 0], 1).unwrap();
+            d.update(&[1, 1], 1).unwrap();
+            let mut store = FsSnapshotDir::open(&snaps).unwrap();
+            assert_eq!(d.checkpoint_to(&mut store).unwrap(), 2);
+            for i in 0..5 {
+                d.update(&[i, 2], 1).unwrap();
+            }
+        }
+        let (mut d, report) = DurableEngine::recover(&snaps, &wal, fresh_8x8).unwrap();
+        assert_eq!((report.replayed, d.records_since_checkpoint()), (5, 5));
+        d.set_snapshot_policy(SnapshotPolicy {
+            max_wal_bytes: None,
+            max_records: Some(4),
+            retain: 2,
+        });
+        let mut store = FsSnapshotDir::open(&snaps).unwrap();
+        assert_eq!(d.maybe_checkpoint(&mut store).unwrap(), Some(7));
     }
 
     #[test]

@@ -256,6 +256,7 @@ pub const L2_LIBRARY_SRC: &[&str] = &[
 pub const L5_HOT_PATH_MODULES: &[&str] = &[
     "crates/rps-core/src/rps/update.rs",
     "crates/rps-core/src/rps/mod.rs",
+    "crates/rps-core/src/rps/query.rs",
     "crates/rps-core/src/rps/grid.rs",
     "crates/rps-core/src/rps/kernels.rs",
     "crates/rps-core/src/blocked_fenwick.rs",
