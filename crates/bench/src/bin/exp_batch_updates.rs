@@ -12,6 +12,12 @@
 //!
 //! and shows the crossover `apply_batch` exploits, plus the query-time
 //! price the buffered strategy pays.
+//!
+//! A last table replays a WAL tail the way a restart does, at the
+//! `durable_ingest` geometry: one `update` per record against one
+//! `update_batch`, which reaches the same crossover through the trait.
+
+use std::time::Instant;
 
 use ndcube::{NdCube, Region};
 use rps_analysis::Table;
@@ -110,10 +116,84 @@ fn main() {
         ]);
     }
     print!("{}", qtable.render());
+
+    wal_tail_replay(&cube, k);
+
     println!(
         "\nconclusion: incremental wins for small batches, rebuild for\n\
          cube-sized ones (apply_batch's threshold follows the cost model);\n\
          buffering makes updates O(1) but queries pay O(pending) — fine\n\
-         between merges, unacceptable unmerged."
+         between merges, unacceptable unmerged. A restart's WAL tail is\n\
+         such a batch: update_batch takes the rebuild leg."
     );
+}
+
+/// The restart of a durable tenant: the WAL records past the snapshot's
+/// LSN, uniform cells, deltas in −50..=50, replayed one `update` per
+/// record and as one `update_batch`.
+fn wal_tail_replay(cube: &NdCube<i64>, k: usize) {
+    const TAIL: usize = 100_000;
+    let dims = cube.shape().dims();
+    let side: Vec<String> = dims.iter().map(ToString::to_string).collect();
+    println!(
+        "\n=== WAL tail replay, {} cube, k = {k}, {TAIL} points, {REPEATS} runs each ===\n",
+        side.join("×")
+    );
+    let tail: Vec<(Vec<usize>, i64)> = UpdateGen::uniform(dims, 7, 101)
+        .take(TAIL)
+        .into_iter()
+        // 1..=101 shifted to −50..=50.
+        .map(|(c, d)| (c, d - 51))
+        .collect();
+    let base = RpsEngine::from_cube_uniform(cube, k).unwrap();
+    let (loop_ns, loop_writes, loop_cube) = time_replay(&base, |e| {
+        for (c, d) in &tail {
+            e.update(c, *d).unwrap();
+        }
+    });
+    let (batch_ns, batch_writes, batch_cube) =
+        time_replay(&base, |e| e.update_batch(&tail).unwrap());
+    assert_eq!(loop_cube, batch_cube, "both replays must leave one cube");
+    assert!(
+        batch_writes < loop_writes,
+        "update_batch wrote {batch_writes} cells, the per-record loop {loop_writes}"
+    );
+    let mut rtable = Table::new(&["replay", "median ns", "min–max ns", "cells written"]);
+    for (name, ns, writes) in [
+        ("one update per record", &loop_ns, loop_writes),
+        ("one update_batch", &batch_ns, batch_writes),
+    ] {
+        rtable.row(&[
+            name.to_string(),
+            ns[REPEATS / 2].to_string(),
+            format!("{}–{}", ns[0], ns[REPEATS - 1]),
+            writes.to_string(),
+        ]);
+    }
+    print!("{}", rtable.render());
+}
+
+/// Timed runs per replay strategy.
+const REPEATS: usize = 7;
+
+/// Replays onto a fresh copy of `base` `REPEATS` times. Returns the
+/// sorted wall times in ns, the cells one replay wrote, and the cube
+/// it left.
+fn time_replay(
+    base: &RpsEngine<i64>,
+    replay: impl Fn(&mut RpsEngine<i64>),
+) -> (Vec<u128>, u64, NdCube<i64>) {
+    let mut times = Vec::with_capacity(REPEATS);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        let mut e = base.clone();
+        let before = e.stats().cell_writes;
+        let t = Instant::now();
+        replay(&mut e);
+        times.push(t.elapsed().as_nanos());
+        last = Some((e.stats().cell_writes - before, e));
+    }
+    times.sort_unstable();
+    let (writes, e) = last.expect("REPEATS > 0");
+    (times, writes, e.to_cube())
 }

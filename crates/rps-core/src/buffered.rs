@@ -175,7 +175,7 @@ impl<T: GroupValue, M: RangeSumEngine<T>> BufferedEngine<M, T> {
     }
 }
 
-impl<T: GroupValue + Send + Sync> BufferedEngine<crate::RpsEngine<T>, T> {
+impl<T: GroupValue> BufferedEngine<crate::RpsEngine<T>, T> {
     /// Batch query with the main RPS structure answered by the sharded
     /// parallel front-end; buffered deltas are folded in serially (the
     /// buffer is small by construction — at most `merge_threshold` cells).

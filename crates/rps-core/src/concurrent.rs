@@ -158,7 +158,7 @@ impl<E> SharedEngine<E> {
         threads: usize,
     ) -> Result<Vec<T>, NdError>
     where
-        T: GroupValue + Send + Sync,
+        T: GroupValue,
         E: std::borrow::Borrow<crate::RpsEngine<T>>,
     {
         let out = self.read(|e| e.borrow().query_many_parallel(regions, threads));

@@ -55,7 +55,10 @@ pub trait RangeSumEngine<T: GroupValue> {
     /// error leaves the cube untouched.
     ///
     /// Default: one [`Self::update`] per record. Engines that can apply
-    /// a batch more cheaply, or publish it as one unit, override it.
+    /// a batch more cheaply, or publish it as one unit, override it:
+    /// [`crate::RpsEngine`] takes the paper's incremental-or-rebuild
+    /// crossover ([`crate::RpsEngine::apply_batch`]), and
+    /// [`crate::VersionedEngine`] publishes the batch as one version.
     fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
         for (coords, _) in updates {
             self.shape().check(coords)?;

@@ -6,6 +6,11 @@
 //! recover `A`, apply the whole batch, and rebuild RP + overlay in
 //! O(d·N). The crossover m* ≈ d·N / update_cost(n, d, k) is decided with
 //! the paper's own cost model; `exp_batch_updates` measures the ablation.
+//!
+//! The crossover is reachable through the trait: `RpsEngine`'s
+//! [`RangeSumEngine::update_batch`] is [`RpsEngine::apply_batch`], so a
+//! caller that only knows the trait, such as WAL replay at recovery,
+//! gets the rebuild leg when the batch is large enough.
 
 use ndcube::{NdCube, NdError};
 
@@ -94,9 +99,7 @@ impl<T: GroupValue> RpsEngine<T> {
     pub(crate) fn rebuild_cost(&self) -> f64 {
         (est(self.shape().ndim()) + 2.0) * est(self.shape().len())
     }
-}
 
-impl<T: GroupValue + Send + Sync> RpsEngine<T> {
     /// Applies a batch of point updates, adaptively choosing between
     /// incremental application and a full rebuild. Returns `true` when
     /// the rebuild path was taken.

@@ -247,19 +247,8 @@ impl<T: GroupValue> RpsEngine<T> {
 /// The overlay's share of a prefix-sum reconstruction: anchor plus the
 /// border combination for `x` (the paper's d = 2 rule; the alternating
 /// corner sum for d ≥ 3 — see [`RpsEngine::prefix_sum`]). Returns the
-/// accumulated value and the number of overlay cells read.
-///
-/// Compatibility wrapper over [`overlay_prefix_part_with`] using the
-/// thread-local scratch.
-pub fn overlay_prefix_part<T: GroupValue>(
-    grid: &BoxGrid,
-    overlay: &Overlay<T>,
-    x: &[usize],
-) -> (T, u64) {
-    with_scratch(|s| overlay_prefix_part_with(grid, overlay, x, &mut s.kernel))
-}
-
-/// [`overlay_prefix_part`] with caller scratch — zero heap allocations.
+/// accumulated value and the number of overlay cells read. Uses the
+/// caller's scratch, so it makes zero heap allocations.
 ///
 /// Shared by the in-memory engine, the disk-resident engine
 /// (`rps-storage`) and the versioned snapshots
@@ -374,6 +363,12 @@ impl<T: GroupValue> RangeSumEngine<T> for RpsEngine<T> {
         self.stats.writes(writes);
         self.stats.update();
         Ok(())
+    }
+
+    // The paper's batch crossover: incremental cascades or one rebuild,
+    // whichever the measured sample says is cheaper.
+    fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        self.apply_batch(updates).map(|_rebuilt| ())
     }
 
     fn stats(&self) -> CostStats {

@@ -120,7 +120,7 @@ pub(crate) fn slab_sizes(rows: usize, row_len: usize, align: usize, threads: usi
 
 /// Parallel box-local prefix sweep: identical output to
 /// [`crate::rps::relative_prefix_sums`].
-pub fn relative_prefix_sums_parallel<T: GroupValue + Send>(
+pub fn relative_prefix_sums_parallel<T: GroupValue>(
     a: &NdCube<T>,
     grid: &BoxGrid,
     threads: usize,
@@ -158,7 +158,7 @@ pub fn relative_prefix_sums_parallel<T: GroupValue + Send>(
 
 /// Parallel global prefix sums: identical output to
 /// [`crate::prefix::prefix_sums_in_place`].
-pub fn prefix_sums_parallel<T: GroupValue + Send + Sync>(a: &mut NdCube<T>, threads: usize) {
+pub fn prefix_sums_parallel<T: GroupValue>(a: &mut NdCube<T>, threads: usize) {
     let threads = threads.max(1);
     let shape = a.shape().clone();
     // The dim-0 two-phase scan does the dim-0 work twice (local prefix +
@@ -250,7 +250,7 @@ pub fn prefix_sums_parallel<T: GroupValue + Send + Sync>(a: &mut NdCube<T>, thre
     }
 }
 
-impl<T: GroupValue + Send + Sync> crate::rps::RpsEngine<T> {
+impl<T: GroupValue> crate::rps::RpsEngine<T> {
     /// Builds the engine using `threads` worker threads for the P and RP
     /// sweeps (overlay derivation is serial; it is O(d·N/k), dwarfed by
     /// the sweeps).

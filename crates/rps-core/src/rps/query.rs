@@ -110,7 +110,7 @@ pub(crate) fn range_sums_parallel<T, S>(
     threads: usize,
 ) -> Result<Vec<T>, NdError>
 where
-    T: GroupValue + Send + Sync,
+    T: GroupValue,
     S: PrefixSource<T> + Sync,
 {
     // Unit-test and loom builds skip the host clamp so the shard path

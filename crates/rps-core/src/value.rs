@@ -12,6 +12,9 @@ use std::num::Wrapping;
 /// A commutative group: associative, commutative ⊕ with identity and
 /// inverse. All engines in this crate are generic over it.
 ///
+/// `Send + Sync` are supertraits because the engines shard batch
+/// updates, builds and batch queries across scoped worker threads.
+///
 /// Laws (checked by property tests in `tests/value_laws.rs`):
 /// * `a ⊕ zero = a`
 /// * `a ⊕ b = b ⊕ a`
@@ -21,7 +24,7 @@ use std::num::Wrapping;
 /// Floating-point instances satisfy these laws only approximately; the
 /// engines remain *usable* with `f64` (as OLAP systems are in practice) but
 /// exactness guarantees hold for the integer instances.
-pub trait GroupValue: Clone + PartialEq + Debug + 'static {
+pub trait GroupValue: Clone + PartialEq + Debug + Send + Sync + 'static {
     /// The group identity (0 for sums).
     fn zero() -> Self;
 

@@ -193,7 +193,7 @@ impl<T: GroupValue> PrefixSource<T> for Version<T> {
     }
 }
 
-impl<T: GroupValue + Send + Sync> Version<T> {
+impl<T: GroupValue> Version<T> {
     /// Answers a batch of range queries sharded across up to `threads`
     /// scoped worker threads, like
     /// [`RpsEngine::query_many_parallel`] — but against an immutable
@@ -647,7 +647,7 @@ impl<T: GroupValue> VersionedEngine<T> {
     }
 }
 
-impl<T: GroupValue + Send + Sync> VersionedEngine<T> {
+impl<T: GroupValue> VersionedEngine<T> {
     /// One-shot sharded batch query against the current version. The
     /// writer is never blocked: the batch runs against an immutable
     /// snapshot while updates continue to publish.

@@ -24,6 +24,16 @@ struct Scenario {
     queries: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
+/// A coordinate inside `dims`.
+fn coords_in(dims: Vec<usize>) -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..usize::MAX, dims.len()).prop_map(move |raw| {
+        raw.iter()
+            .zip(&dims)
+            .map(|(&r, &s)| r % s)
+            .collect::<Vec<_>>()
+    })
+}
+
 fn scenario() -> impl Strategy<Value = Scenario> {
     (1usize..=4)
         .prop_flat_map(|d| {
@@ -36,15 +46,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             let n: usize = dims.iter().product();
             let coord = {
                 let dims = dims.clone();
-                move || {
-                    let dims: Vec<usize> = dims.clone();
-                    proptest::collection::vec(0usize..usize::MAX, dims.len()).prop_map(move |raw| {
-                        raw.iter()
-                            .zip(&dims)
-                            .map(|(&r, &s)| r % s)
-                            .collect::<Vec<_>>()
-                    })
-                }
+                move || coords_in(dims.clone())
             };
             let corners = {
                 (coord(), coord()).prop_map(move |(a, b)| {
@@ -213,15 +215,7 @@ fn range_scenario() -> impl Strategy<Value = RangeScenario> {
             let n: usize = dims.iter().product();
             let coord = {
                 let dims = dims.clone();
-                move || {
-                    let dims: Vec<usize> = dims.clone();
-                    proptest::collection::vec(0usize..usize::MAX, dims.len()).prop_map(move |raw| {
-                        raw.iter()
-                            .zip(&dims)
-                            .map(|(&r, &s)| r % s)
-                            .collect::<Vec<_>>()
-                    })
-                }
+                move || coords_in(dims.clone())
             };
             let corners = {
                 let coord = coord.clone();
@@ -427,5 +421,134 @@ fn large_2d_engines_agree() {
         assert_eq!(rps.query(&r).unwrap(), want);
         assert_eq!(ps.query(&r).unwrap(), want);
         assert_eq!(fw.query(&r).unwrap(), want);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Batch conformance: `update_batch` on every engine is bit-identical to
+// the per-record loop, on both legs of RPS's incremental-or-rebuild
+// crossover, and leaves every cell untouched when one coordinate is out
+// of bounds.
+// ---------------------------------------------------------------------
+
+/// A cube of 1..=3 dimensions with a small batch (at most the 32-record
+/// sample, so RPS stays incremental) and a large one: `(d + 2)·N + 33`
+/// records with nonzero deltas. Each sampled record writes at least its
+/// own RP cell, so the sample projects more than the `(d + 2)·N` cell
+/// writes of a rebuild and RPS takes the rebuild leg.
+#[derive(Debug, Clone)]
+struct BatchScenario {
+    dims: Vec<usize>,
+    box_size: Vec<usize>,
+    k: usize,
+    initial: Vec<i64>,
+    small: Vec<(Vec<usize>, i64)>,
+    large: Vec<(Vec<usize>, i64)>,
+    bad_at: usize,
+}
+
+fn batch_scenario() -> impl Strategy<Value = BatchScenario> {
+    (1usize..=3)
+        .prop_flat_map(|d| {
+            (
+                proptest::collection::vec(1usize..=6, d..=d),
+                proptest::collection::vec(1usize..=5, d..=d),
+                1usize..=5,
+            )
+        })
+        .prop_flat_map(|(dims, box_size, k)| {
+            let n: usize = dims.iter().product();
+            let large = (dims.len() + 2) * n + 33;
+            let update = {
+                let dims = dims.clone();
+                move || {
+                    (coords_in(dims.clone()), 1i64..=100, any::<bool>())
+                        .prop_map(|(c, v, neg)| (c, if neg { -v } else { v }))
+                }
+            };
+            (
+                Just(dims),
+                Just(box_size),
+                Just(k),
+                proptest::collection::vec(-50i64..50, n..=n),
+                (
+                    proptest::collection::vec(update(), 1..=32),
+                    proptest::collection::vec(update(), large..=large),
+                ),
+                any::<usize>(),
+            )
+        })
+        .prop_map(
+            |(dims, box_size, k, initial, (small, large), bad_at)| BatchScenario {
+                dims,
+                box_size,
+                k,
+                initial,
+                small,
+                large,
+                bad_at,
+            },
+        )
+}
+
+/// Runs both batches of `sc` through `make()`'s engine: `update_batch`
+/// must give the per-record loop's cube, and the same batch with one
+/// coordinate out of bounds must fail and change no cell.
+fn check_update_batch<E: RangeSumEngine<i64>>(make: impl Fn() -> E, sc: &BatchScenario) {
+    let initial = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
+    for (leg, batch) in [("small", &sc.small), ("large", &sc.large)] {
+        let mut looped = make();
+        for (c, delta) in batch {
+            looped.update(c, *delta).unwrap();
+        }
+        let mut batched = make();
+        batched.update_batch(batch).unwrap();
+        assert_eq!(
+            batched.materialize(),
+            looped.materialize(),
+            "{} {leg} batch differs from the per-record loop ({sc:?})",
+            batched.name()
+        );
+
+        let mut bad = batch.clone();
+        let at = sc.bad_at % bad.len();
+        bad[at].0[0] = sc.dims[0];
+        let mut rejected = make();
+        assert!(rejected.update_batch(&bad).is_err());
+        assert_eq!(
+            rejected.materialize(),
+            initial,
+            "{} applied part of a rejected {leg} batch ({sc:?})",
+            rejected.name()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn update_batch_matches_the_per_record_loop(sc in batch_scenario()) {
+        let cube = NdCube::from_vec(&sc.dims, sc.initial.clone()).unwrap();
+        let uniform = RpsEngine::from_cube_uniform(&cube, sc.k).unwrap();
+        let sqrt = RpsEngine::from_cube(&cube);
+        for rps in [&uniform, &sqrt] {
+            prop_assert!(!rps.clone().apply_batch(&sc.small).unwrap(), "small batch rebuilt");
+            prop_assert!(rps.clone().apply_batch(&sc.large).unwrap(), "large batch stayed incremental");
+        }
+        check_update_batch(|| NaiveEngine::from_cube(cube.clone()), &sc);
+        check_update_batch(|| PrefixSumEngine::from_cube(&cube), &sc);
+        check_update_batch(|| uniform.clone(), &sc);
+        check_update_batch(|| sqrt.clone(), &sc);
+        check_update_batch(|| FenwickEngine::from_cube(&cube), &sc);
+        check_update_batch(|| BlockedFenwickEngine::from_cube(&cube), &sc);
+        check_update_batch(
+            || {
+                VersionedEngine::new(
+                    RpsEngine::from_cube_with_box_size(&cube, &sc.box_size).unwrap(),
+                )
+            },
+            &sc,
+        );
     }
 }

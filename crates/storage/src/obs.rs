@@ -65,6 +65,9 @@ pub struct StorageMetrics {
     /// Snapshot read+verify+restore latency (ns; gated by
     /// `rps_obs::set_timing`).
     pub snapshot_load_ns: Histogram,
+    /// WAL tail replay latency at recovery (ns; gated by
+    /// `rps_obs::set_timing`).
+    pub wal_replay_ns: Histogram,
     /// LSN of the most recently written snapshot checkpoint.
     pub snapshot_last_lsn: Gauge,
 }
@@ -116,6 +119,7 @@ static STORAGE: StorageMetrics = StorageMetrics {
     snapshot_fallbacks: Counter::new(),
     snapshot_save_ns: Histogram::new(),
     snapshot_load_ns: Histogram::new(),
+    wal_replay_ns: Histogram::new(),
     snapshot_last_lsn: Gauge::new(),
 };
 
@@ -309,6 +313,14 @@ fn register_all() {
         sub,
         &[],
         &STORAGE.snapshot_load_ns,
+    );
+    reg.histogram(
+        "rps_wal_replay_ns",
+        "WAL tail replay at recovery",
+        "ns",
+        sub,
+        &[],
+        &STORAGE.wal_replay_ns,
     );
     reg.gauge(
         "rps_snapshot_last_lsn",

@@ -13,7 +13,7 @@ use ndcube::NdCube;
 use proptest::prelude::*;
 use rps_core::{NaiveEngine, RangeSumEngine, RpsEngine};
 use rps_storage::{
-    DurableEngine, FaultPlan, RecoverySource, SimLogFile, SimSnapshotStore, StorageError,
+    DurableEngine, FaultPlan, RecoverySource, SimLogFile, SimRng, SimSnapshotStore, StorageError,
 };
 
 #[derive(Debug, Clone)]
@@ -298,5 +298,117 @@ proptest! {
                 "the rotted newest snapshot must be the quarantined one"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Batch-path recovery: a mixed point/range tail long enough for RPS's
+// rebuild leg replays to the per-cell oracle.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct TailScenario {
+    dims: Vec<usize>,
+    /// Seeds the records.
+    seed: u64,
+    /// Records logged before the checkpoint (none when 0).
+    prefix: usize,
+    /// Range records mixed into the tail.
+    ranges: usize,
+}
+
+fn tail_scenario() -> impl Strategy<Value = TailScenario> {
+    (1usize..=3)
+        .prop_flat_map(|d| {
+            (
+                proptest::collection::vec(2usize..=6, d),
+                any::<u64>(),
+                0usize..16,
+                0usize..12,
+            )
+        })
+        .prop_map(|(dims, seed, prefix, ranges)| TailScenario {
+            dims,
+            seed,
+            prefix,
+            ranges,
+        })
+}
+
+/// One logged record: a point delta (`lo == hi`) or a range delta.
+type Rec = (Vec<usize>, Vec<usize>, i64);
+
+/// `count` records, `ranges` of them rectangles at random places, with
+/// nonzero deltas in −50..=50.
+fn records(dims: &[usize], rng: &mut SimRng, count: usize, ranges: usize) -> Vec<Rec> {
+    let mut out: Vec<Rec> = (0..count)
+        .map(|i| {
+            let a: Vec<usize> = dims.iter().map(|&n| rng.below(n)).collect();
+            let b: Vec<usize> = if i < ranges {
+                dims.iter().map(|&n| rng.below(n)).collect()
+            } else {
+                a.clone()
+            };
+            let lo = a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect();
+            let hi = a.iter().zip(&b).map(|(&x, &y)| x.max(y)).collect();
+            let delta = i64::try_from(rng.below(100)).unwrap() - 50;
+            (lo, hi, if delta == 0 { 50 } else { delta })
+        })
+        .collect();
+    // Spread the ranges through the tail.
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.below(i + 1));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn long_mixed_tail_recovers_through_the_rebuild_leg(sc in tail_scenario()) {
+        let mut rng = SimRng::new(sc.seed);
+        let n: usize = sc.dims.iter().product();
+        // More point records after the sample than a rebuild writes
+        // cells: each writes at least one, so RPS rebuilds.
+        let tail_points = (sc.dims.len() + 2) * n + 33;
+        let prefix = records(&sc.dims, &mut rng, sc.prefix, sc.prefix / 3);
+        let tail = records(&sc.dims, &mut rng, tail_points + sc.ranges, sc.ranges);
+
+        let log = SimLogFile::new(FaultPlan::none(), 1);
+        let handle = log.handle();
+        let mut d = DurableEngine::open_log(RpsEngine::<i64>::zeros(&sc.dims).unwrap(), log, 0)
+            .expect("fresh open");
+        let mut store = SimSnapshotStore::new(FaultPlan::none(), 1);
+        let shape = ndcube::Shape::new(&sc.dims).unwrap();
+        let mut oracle = vec![0i64; n];
+        for (i, (lo, hi, delta)) in prefix.iter().chain(&tail).enumerate() {
+            if i == sc.prefix && i > 0 {
+                d.checkpoint_to(&mut store).expect("fault-free checkpoint");
+            }
+            let region = ndcube::Region::new(lo, hi).unwrap();
+            if lo == hi {
+                d.update(lo, *delta).expect("fault-free update");
+            } else {
+                d.range_update(&region, *delta).expect("fault-free update");
+            }
+            for c in &region {
+                oracle[shape.linear(&c).unwrap()] += *delta;
+            }
+        }
+
+        let fresh = || Ok::<_, StorageError>(RpsEngine::<i64>::zeros(&sc.dims)?);
+        let (recovered, report) =
+            DurableEngine::recover_with(&mut store, SimLogFile::from_bytes(handle.cache()), fresh)
+                .expect("recovery must succeed");
+        let source = if sc.prefix > 0 {
+            RecoverySource::Snapshot(sc.prefix as u64)
+        } else {
+            RecoverySource::FullReplay
+        };
+        prop_assert_eq!(report.source, source);
+        prop_assert_eq!(report.replayed, tail.len() as u64);
+        let got = recovered.engine().to_cube();
+        prop_assert_eq!(got.as_slice(), &oracle[..]);
     }
 }
