@@ -13,15 +13,20 @@
 //! and shows the crossover `apply_batch` exploits, plus the query-time
 //! price the buffered strategy pays.
 //!
-//! A last table replays a WAL tail the way a restart does, at the
+//! A WAL-tail table replays a log the way a restart does, at the
 //! `durable_ingest` geometry: one `update` per record against one
 //! `update_batch`, which reaches the same crossover through the trait.
+//!
+//! A last table times a served tenant's write path at the `dashboard`
+//! geometry: small batches applied one update at a time on the serial
+//! engine and as one published version each on `VersionedEngine`, with
+//! the bytes each publish copies on write.
 
 use std::time::Instant;
 
 use ndcube::{NdCube, Region};
 use rps_analysis::Table;
-use rps_core::{BufferedEngine, RangeSumEngine, RpsEngine};
+use rps_core::{BufferedEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen};
 
 fn main() {
@@ -118,13 +123,15 @@ fn main() {
     print!("{}", qtable.render());
 
     wal_tail_replay(&cube, k);
+    versioned_publish();
 
     println!(
         "\nconclusion: incremental wins for small batches, rebuild for\n\
          cube-sized ones (apply_batch's threshold follows the cost model);\n\
          buffering makes updates O(1) but queries pay O(pending) — fine\n\
          between merges, unacceptable unmerged. A restart's WAL tail is\n\
-         such a batch: update_batch takes the rebuild leg."
+         such a batch: update_batch takes the rebuild leg. A versioned\n\
+         publish copies the RP boxes and overlay box rows it writes."
     );
 }
 
@@ -173,7 +180,7 @@ fn wal_tail_replay(cube: &NdCube<i64>, k: usize) {
     print!("{}", rtable.render());
 }
 
-/// Timed runs per replay strategy.
+/// Timed runs per replay strategy and per publish-table row.
 const REPEATS: usize = 7;
 
 /// Replays onto a fresh copy of `base` `REPEATS` times. Returns the
@@ -196,4 +203,102 @@ fn time_replay(
     times.sort_unstable();
     let (writes, e) = last.expect("REPEATS > 0");
     (times, writes, e.to_cube())
+}
+
+/// A served `dashboard` tenant's writes: batches of 4 points, deltas
+/// 1..=9, on a zero 1024² cube with k = 32. The serial engine applies
+/// each batch one `update` at a time; the versioned engine publishes
+/// each as one version through `apply_batch`, copying on write the RP
+/// box granules and overlay box-row granules it touches. Also times
+/// `VersionedEngine::new` on the zero engine.
+fn versioned_publish() {
+    const SIDE: usize = 1024;
+    const K: usize = 32;
+    const BATCH: usize = 4;
+    const BATCHES: usize = 2_000;
+    let dims = [SIDE, SIDE];
+    println!(
+        "\n=== versioned publish, {SIDE}×{SIDE} zero cube, k = {K}, \
+         {BATCHES} batches of {BATCH} points, {REPEATS} runs each ===\n"
+    );
+    let updates = UpdateGen::uniform(&dims, 11, 9).take(BATCHES * BATCH);
+    let total: i64 = updates.iter().map(|(_, d)| d).sum();
+    let zero = || RpsEngine::<i64>::zeros_uniform(&dims, K).unwrap();
+    let base = zero();
+    let full = Region::new(&[0, 0], &[SIDE - 1, SIDE - 1]).unwrap();
+    let cell = std::mem::size_of::<i64>();
+    let overlay_bytes = (base.storage_cells() - SIDE * SIDE) * cell;
+    let bound = u64::try_from(BATCH * K * K * cell + overlay_bytes).unwrap();
+
+    let mut serial_ns = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let mut e = base.clone();
+        let t = Instant::now();
+        for batch in updates.chunks(BATCH) {
+            for (c, d) in batch {
+                e.update(c, *d).unwrap();
+            }
+        }
+        serial_ns.push(t.elapsed().as_nanos() / BATCHES as u128);
+        assert_eq!(e.query(&full).unwrap(), total, "serial total");
+    }
+
+    let cow_bytes = &rps_core::obs::snapshot().cow_bytes;
+    let mut versioned_ns = Vec::with_capacity(REPEATS);
+    let (mut copied, mut most) = (0u64, 0u64);
+    for _ in 0..REPEATS {
+        let v = VersionedEngine::new(base.clone());
+        copied = 0;
+        let t = Instant::now();
+        for batch in updates.chunks(BATCH) {
+            let before = cow_bytes.get();
+            v.apply_batch(batch).unwrap();
+            let bytes = cow_bytes.get() - before;
+            copied += bytes;
+            most = most.max(bytes);
+        }
+        versioned_ns.push(t.elapsed().as_nanos() / BATCHES as u128);
+        assert_eq!(v.query(&full).unwrap(), total, "versioned total");
+    }
+    assert!(
+        most <= bound,
+        "a batch copied {most} B, over 4·k²·8 B of RP boxes plus the overlay's \
+         {overlay_bytes} B = {bound} B"
+    );
+
+    let mut new_ns = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let e = zero();
+        let t = Instant::now();
+        let v = VersionedEngine::new(e);
+        new_ns.push(t.elapsed().as_nanos());
+        drop(v);
+    }
+
+    let mut ptable = Table::new(&["path", "median ns", "min–max ns", "bytes copied"]);
+    let per_batch = copied / BATCHES as u64;
+    let rows = [
+        (
+            "RpsEngine::update ×4, per batch",
+            serial_ns,
+            "—".to_string(),
+        ),
+        (
+            "VersionedEngine::apply_batch, per batch",
+            versioned_ns,
+            format!("{per_batch} (max {most})"),
+        ),
+        ("VersionedEngine::new, zero 1024²", new_ns, "—".to_string()),
+    ];
+    for (name, mut ns, bytes) in rows {
+        ns.sort_unstable();
+        ptable.row(&[
+            name.to_string(),
+            ns[REPEATS / 2].to_string(),
+            format!("{}–{}", ns[0], ns[REPEATS - 1]),
+            bytes,
+        ]);
+    }
+    print!("{}", ptable.render());
+    println!("bound per batch: {bound} B (4·k²·8 B of RP boxes + {overlay_bytes} B of overlay)");
 }

@@ -36,6 +36,54 @@ impl<'a> RegionIter<'a> {
     }
 }
 
+/// The run walk underlying [`Shape::for_each_contiguous_run_in_bounds`],
+/// over any row-major buffer with the given `strides` (innermost stride
+/// 1): calls `f(start, len)` for every innermost-axis run of
+/// `lo ..= hi`, where `start = Σ coordᵢ·stridesᵢ` is the run's first
+/// cell. A buffer that holds one box of a larger array passes the
+/// strides of the box's own extents and box-local bounds. Reuses the
+/// caller's coordinate buffer: zero allocations.
+pub fn for_each_run_in_bounds(
+    strides: &[usize],
+    lo: &[usize],
+    hi: &[usize],
+    cur: &mut Vec<usize>,
+    mut f: impl FnMut(usize, usize),
+) {
+    let d = strides.len();
+    debug_assert_eq!(lo.len(), d);
+    debug_assert_eq!(hi.len(), d);
+    debug_assert!(lo.iter().zip(hi).all(|(l, h)| l <= h));
+    debug_assert_eq!(strides[d - 1], 1, "rows are contiguous");
+    cur.clear();
+    cur.extend_from_slice(lo);
+    let mut start: usize = lo.iter().zip(strides).map(|(&c, &s)| c * s).sum();
+    let run_len = hi[d - 1] - lo[d - 1] + 1;
+    loop {
+        f(start, run_len);
+        if d == 1 {
+            return;
+        }
+        // Odometer over the outer dimensions only; the innermost
+        // coordinate stays pinned at lo[last] (the run start).
+        let mut dim = d - 1;
+        loop {
+            if dim == 0 {
+                return;
+            }
+            dim -= 1;
+            if cur[dim] < hi[dim] {
+                cur[dim] += 1;
+                start += strides[dim];
+                break;
+            }
+            let span = cur[dim] - lo[dim];
+            start -= span * strides[dim];
+            cur[dim] = lo[dim];
+        }
+    }
+}
+
 /// The odometer walk underlying [`RegionIter::for_each_coords_with`],
 /// taking raw `lo`/`hi` slices so callers holding bounds in scratch
 /// buffers need not materialize a [`Region`] (whose constructor

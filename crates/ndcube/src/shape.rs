@@ -227,40 +227,10 @@ impl Shape {
         lo: &[usize],
         hi: &[usize],
         cur: &mut Vec<usize>,
-        mut f: impl FnMut(usize, usize),
+        f: impl FnMut(usize, usize),
     ) {
-        let d = self.ndim();
-        debug_assert_eq!(lo.len(), d);
-        debug_assert_eq!(hi.len(), d);
-        debug_assert!(lo.iter().zip(hi).all(|(l, h)| l <= h));
         debug_assert!(self.check(hi).is_ok());
-        cur.clear();
-        cur.extend_from_slice(lo);
-        let mut start = self.linear_unchecked(cur);
-        let run_len = hi[d - 1] - lo[d - 1] + 1;
-        loop {
-            f(start, run_len);
-            if d == 1 {
-                return;
-            }
-            // Odometer over the outer dimensions only; the innermost
-            // coordinate stays pinned at lo[last] (the run start).
-            let mut dim = d - 1;
-            loop {
-                if dim == 0 {
-                    return;
-                }
-                dim -= 1;
-                if cur[dim] < hi[dim] {
-                    cur[dim] += 1;
-                    start += self.strides[dim];
-                    break;
-                }
-                let span = cur[dim] - lo[dim];
-                start -= span * self.strides[dim];
-                cur[dim] = lo[dim];
-            }
-        }
+        crate::for_each_run_in_bounds(&self.strides, lo, hi, cur, f);
     }
 
     /// Iterator form of [`Self::for_each_contiguous_run_in_bounds`] over a

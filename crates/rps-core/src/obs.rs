@@ -95,9 +95,12 @@ pub struct CoreMetrics {
 pub struct SnapshotMetrics {
     /// Immutable versions published by the writer.
     pub versions: Counter,
-    /// Box granules (overlay or RP) cloned copy-on-write because a
-    /// published version still referenced them.
+    /// Box granules cloned copy-on-write because a published version
+    /// still referenced them: one per RP box granule, and one per box of
+    /// an overlay box-row granule.
     pub cow_boxes: Counter,
+    /// Bytes of the granules counted in `cow_boxes`.
+    pub cow_bytes: Counter,
 }
 
 static RPS: EngineMetrics = EngineMetrics::new();
@@ -118,6 +121,7 @@ static CORE: CoreMetrics = CoreMetrics {
 static SNAPSHOT: SnapshotMetrics = SnapshotMetrics {
     versions: Counter::new(),
     cow_boxes: Counter::new(),
+    cow_bytes: Counter::new(),
 };
 
 fn register_kind(m: &'static EngineMetrics, labels: &'static [(&'static str, &'static str)]) {
@@ -257,6 +261,12 @@ fn register_all() {
         &[],
         &CORE.range_update_ns,
     );
+    register_snapshot();
+}
+
+/// The versioned engine's copy-on-write metrics.
+fn register_snapshot() {
+    let reg = registry();
     reg.counter(
         "rps_snapshot_versions_total",
         "Immutable versions published by the versioned engine's writer",
@@ -272,6 +282,14 @@ fn register_all() {
         "rps-core",
         &[],
         &SNAPSHOT.cow_boxes,
+    );
+    reg.counter(
+        "rps_snapshot_cow_bytes_total",
+        "Bytes of box granules cloned copy-on-write during versioned publishes",
+        "bytes",
+        "rps-core",
+        &[],
+        &SNAPSHOT.cow_bytes,
     );
 }
 

@@ -9,12 +9,12 @@ use crate::value::GroupValue;
 
 /// Read-only view of overlay storage, for the prefix reconstruction.
 ///
-/// Implemented by the flat [`Overlay`] and by the chunked per-box-row
-/// slabs of the versioned engine's snapshots
-/// ([`crate::versioned::VersionedEngine`]), so the inclusion–exclusion
-/// arithmetic in [`overlay_prefix_part_src`] — the subtlest in the
-/// workspace — exists exactly once regardless of how the cells are laid
-/// out.
+/// Implemented by the flat [`Overlay`] and by the versioned engine's
+/// snapshots ([`crate::versioned::VersionedEngine`]), whose overlay is
+/// one copy-on-write granule per dim-0 box row, so the
+/// inclusion–exclusion arithmetic in [`overlay_prefix_part_src`] — the
+/// subtlest in the workspace — exists exactly once regardless of how
+/// the cells are laid out.
 pub(crate) trait OverlaySource<T> {
     /// The per-box offset table: `offsets()[b] .. offsets()[b+1]` is box
     /// `b`'s slot range in the flat cell numbering.
@@ -45,8 +45,12 @@ impl<T: GroupValue> OverlaySource<T> for Overlay<T> {
 /// This is the single home of the alternating corner sum (see
 /// [`crate::rps::RpsEngine::prefix_sum`] for the derivation); the public
 /// [`crate::rps::overlay_prefix_part_with`] delegates here with the flat
-/// [`Overlay`], the versioned engine's snapshots with their slab view.
+/// [`Overlay`], the versioned engine's snapshots with their granules.
 /// Returns the accumulated value and the number of overlay cells read.
+///
+/// On return `ks.b`, `ks.extents` and `ks.offsets` hold `x`'s box index,
+/// that box's clamped extents and `x`'s offsets within it: the versioned
+/// engine reads `x`'s RP cell from its box granule through them.
 pub(crate) fn overlay_prefix_part_src<T, S>(
     grid: &BoxGrid,
     src: &S,

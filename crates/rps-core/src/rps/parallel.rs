@@ -273,7 +273,8 @@ impl<T: GroupValue> crate::rps::RpsEngine<T> {
     /// rebuild, the remainder is partitioned across `threads` workers by
     /// dim-0 box-row slabs (see the module docs — the result is
     /// bit-identical to serial application). Otherwise the engine
-    /// recovers `A`, folds the batch in, and rebuilds.
+    /// recovers `A`, folds the batch in, and rebuilds. An empty batch
+    /// counts nothing.
     pub fn apply_batch_parallel(
         &mut self,
         updates: &[(Vec<usize>, T)],
@@ -283,6 +284,9 @@ impl<T: GroupValue> crate::rps::RpsEngine<T> {
         use crate::rps::batch::est;
 
         const SAMPLE: usize = 32;
+        if updates.is_empty() {
+            return Ok(false);
+        }
         // Validate everything up front: a batch is all-or-nothing.
         for (coords, _) in updates {
             self.shape().check(coords)?;

@@ -336,7 +336,8 @@ pub fn apply_range_update_with<T: GroupValue>(
 
 /// The RP half of a range update: every box intersecting `R` gets
 /// `δ·N_B(x)` added to its cells `x ≥ max(α, lo)`, one box at a time via
-/// [`rp_range_box`].
+/// [`rp_range_box`], addressing the flat array from the cube's origin
+/// with the cube's strides.
 fn rp_range_cascade<T: GroupValue>(
     grid: &BoxGrid,
     rp: &mut NdCube<T>,
@@ -345,11 +346,11 @@ fn rp_range_cascade<T: GroupValue>(
     delta: &T,
     ks: &mut KernelScratch,
 ) -> u64 {
-    let d = lo.len();
-    ks.ensure(d);
+    ks.ensure(lo.len());
     let KernelScratch {
         b,
         offsets,
+        anchor: origin,
         alpha,
         lo: rlo,
         hi: box_hi,
@@ -360,32 +361,35 @@ fn rp_range_cascade<T: GroupValue>(
     // Boxes intersecting R form the index rectangle [box(lo), box(hi)].
     grid.box_index_into(lo, b);
     grid.box_index_into(hi, offsets);
-    let (_, data) = rp.parts_mut();
-    cur.clear();
-    cur.extend_from_slice(b);
+    origin.fill(0);
+    let (shape, data) = rp.parts_mut();
     let mut writes = 0u64;
-    'boxes: loop {
-        writes += rp_range_box(grid, data, 0, cur, lo, hi, delta, alpha, rlo, box_hi, e);
-        let mut dim = d;
-        loop {
-            if dim == 0 {
-                break 'boxes;
-            }
-            dim -= 1;
-            if cur[dim] < offsets[dim] {
-                cur[dim] += 1;
-                break;
-            }
-            cur[dim] = b[dim];
-        }
-    }
+    ndcube::for_each_coords_in_bounds(b, offsets, cur, |bp| {
+        writes += rp_range_box(
+            grid,
+            data,
+            origin,
+            shape.strides(),
+            bp,
+            lo,
+            hi,
+            delta,
+            alpha,
+            rlo,
+            box_hi,
+            e,
+        );
+    });
     writes
 }
 
 /// Adds `δ·N_B(x)` to the RP cells of one box `bp` intersecting
-/// `R = [lo, hi]`, writing through a cell slice that starts at flat RP
-/// index `base` (the versioned engine hands in one copy-on-write dim-0
-/// slab at a time; `base = 0` with the full array is the in-memory path).
+/// `R = [lo, hi]`, writing through a row-major cell slice that holds
+/// the cell at cube coordinate `x` at `Σ (xᵢ − originᵢ)·stridesᵢ`.
+/// The in-memory engine passes the whole RP array with the cube's
+/// origin (all zeros) and strides; the versioned engine passes one
+/// box's copy-on-write granule with the box's anchor and the strides
+/// of its clamped extents. Either way the innermost stride is 1.
 ///
 /// Per innermost row the count factorizes as `m · (x_last-dependent
 /// term)`: a ramp of step `δ·m` up to `min(hi, box_hi)` in the last
@@ -396,7 +400,8 @@ fn rp_range_cascade<T: GroupValue>(
 pub(crate) fn rp_range_box<T: GroupValue>(
     grid: &BoxGrid,
     data: &mut [T],
-    base: usize,
+    origin: &[usize],
+    strides: &[usize],
     bp: &[usize],
     lo: &[usize],
     hi: &[usize],
@@ -420,10 +425,14 @@ pub(crate) fn rp_range_box<T: GroupValue>(
     for (r, (&a, &l)) in rlo.iter_mut().zip(alpha.iter().zip(lo)) {
         *r = a.max(l);
     }
-    let strides = grid.cube_shape().strides();
+    debug_assert_eq!(strides[last], 1, "rows are contiguous");
     row.clear();
     row.extend_from_slice(&rlo[..last]);
-    let mut row_base: usize = row.iter().zip(strides).map(|(&c, &s)| c * s).sum();
+    let mut row_base: usize = row
+        .iter()
+        .zip(origin.iter().zip(strides))
+        .map(|(&c, (&o, &s))| (c - o) * s)
+        .sum();
     let mut writes = 0u64;
     let mut lane_runs = 0u64;
     'rows: loop {
@@ -433,7 +442,7 @@ pub(crate) fn rp_range_box<T: GroupValue>(
             // lint:allow(L4): counts fit u64
             acc * (c.min(hi[i]) - rlo[i] + 1) as u64
         });
-        let start = row_base + rlo[last] - base;
+        let start = row_base + rlo[last] - origin[last];
         let ramp_len = hi[last].min(box_hi[last]) - rlo[last] + 1;
         let total_len = box_hi[last] - rlo[last] + 1;
         let slice = &mut data[start..start + total_len];

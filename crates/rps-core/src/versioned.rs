@@ -7,11 +7,14 @@
 //! `query_many_parallel` batch. [`VersionedEngine`] takes the update
 //! work off the read path:
 //!
-//! * The **writer** owns the RPS structures chunked into per-box-row
-//!   *slabs* (`Arc<Vec<T>>`), applies each write call copy-on-write —
-//!   the RPS box partition is the natural granule, so only the box rows
-//!   an update's RP cascade and overlay walk touch are cloned — and
-//!   publishes the result as one new immutable [`Version`].
+//! * The **writer** owns the RPS structures chunked into copy-on-write
+//!   *granules* (`Arc<[T]>`): one per RPS box for the RP array and one
+//!   per dim-0 box row for the overlay. It applies each write call
+//!   copy-on-write and publishes the result as one new immutable
+//!   [`Version`]. A point update's RP cascade stays inside its own box
+//!   (§4.2), the box §4.4 sizes to one disk block, so a publish clones
+//!   only the boxes it wrote and the overlay box rows its orthant walk
+//!   reached; every other granule is shared with earlier versions.
 //! * **Readers** take a [`VersionedEngine::snapshot`] and run
 //!   [`Version::query`] / [`Version::query_many`] /
 //!   [`Version::query_many_parallel`] against it. A held snapshot never
@@ -24,8 +27,8 @@
 //! new `Arc` in under the write lock, while the writer holds its own
 //! mutex. Both critical sections are a pointer copy: the copy-on-write
 //! apply runs before the swap, and the retired version is dropped after
-//! the lock is released, so a reader never waits for a slab copy or
-//! free. `Arc` reference counts free a retired version once its last
+//! the lock is released, so a reader never waits for a granule copy
+//! or free. `Arc` reference counts free a retired version once its last
 //! snapshot is dropped. Interleavings are exercised by
 //! `tests/loom_versioned_engine.rs` and the module runs under TSan in CI
 //! (`scripts/tsan.sh`).
@@ -44,14 +47,15 @@ use crate::rps::{
 use crate::stats::CostStats;
 use crate::value::GroupValue;
 
-/// The RPS structures of one immutable version, chunked into per-box-row
-/// copy-on-write slabs.
+/// The RPS structures of one immutable version, chunked into
+/// copy-on-write granules.
 ///
-/// Slab `r` of the overlay holds the stored cells of every box whose
-/// dim-0 grid index is `r` (flat indices `ov_base[r] .. ov_base[r+1]`);
-/// slab `r` of the RP array holds cube rows `r·k₀ .. (r+1)·k₀`. The
-/// writer shares untouched slabs between consecutive versions by `Arc`
-/// clone, so a publish clones only the box rows its batch wrote.
+/// RP granule `b` holds the RP cells of box `b` (grid row-major order),
+/// row-major within the box's clamped extents — the order of the disk
+/// engine's box-aligned layout. Overlay granule `r` holds the stored
+/// cells of every box whose dim-0 grid index is `r` (flat indices
+/// `ov_base[r] .. ov_base[r+1]`). The writer shares untouched granules
+/// between consecutive versions by `Arc` clone.
 #[derive(Debug, Clone)]
 struct VersionData<T> {
     grid: BoxGrid,
@@ -61,12 +65,8 @@ struct VersionData<T> {
     /// `ov_base[r]` = first flat overlay index of box row `r`
     /// (`rows + 1` entries; also shared and immutable).
     ov_base: Arc<Vec<usize>>,
-    ov_slabs: Vec<Arc<Vec<T>>>,
-    rp_slabs: Vec<Arc<Vec<T>>>,
-    /// Dim-0 box side: cube row `x₀` lives in slab `x₀ / k0`.
-    k0: usize,
-    /// Dim-0 stride of the cube shape (cells per cube row).
-    stride0: usize,
+    ov_slabs: Vec<Arc<[T]>>,
+    rp_boxes: Vec<Arc<[T]>>,
 }
 
 impl<T: GroupValue> OverlaySource<T> for VersionData<T> {
@@ -82,12 +82,46 @@ impl<T: GroupValue> OverlaySource<T> for VersionData<T> {
 }
 
 impl<T: GroupValue> VersionData<T> {
-    /// The RP cell at cube coordinate `x`, located through its slab.
+    /// The RP cell of the coordinate the overlay kernel has just
+    /// reconstructed: box `ks.b`, in-box offsets `ks.offsets` within the
+    /// clamped extents `ks.extents` (see [`overlay_prefix_part_src`]).
     #[inline]
-    fn rp_cell(&self, x: &[usize]) -> &T {
-        let row = x[0] / self.k0;
-        let lin = self.shape.linear_unchecked(x);
-        &self.rp_slabs[row][lin - row * self.k0 * self.stride0]
+    fn rp_cell(&self, ks: &KernelScratch) -> &T {
+        let granule = &self.rp_boxes[self.grid.grid_shape().linear_unchecked(&ks.b)];
+        let local = ks
+            .offsets
+            .iter()
+            .zip(&ks.extents)
+            .fold(0, |acc, (&o, &t)| acc * t + o);
+        &granule[local]
+    }
+}
+
+/// Calls `f(box_lin, lo, hi)` with the inclusive cube bounds of every
+/// box of `grid`, in grid row-major order: the order of the RP granule
+/// table. Used by the two cold paths that move whole in-box rows
+/// between the flat RP array and the granules.
+fn for_each_box_bounds(grid: &BoxGrid, mut f: impl FnMut(usize, &[usize], &[usize])) {
+    let d = grid.cube_shape().ndim();
+    let (mut lo, mut hi) = (vec![0; d], vec![0; d]);
+    let mut box_lin = 0;
+    ndcube::RegionIter::for_each_coords(&grid.grid_shape().full_region(), |bp| {
+        grid.anchor_into(bp, &mut lo);
+        grid.extents_into(bp, &mut hi);
+        for (h, &l) in hi.iter_mut().zip(&lo) {
+            *h = l + *h - 1;
+        }
+        f(box_lin, &lo, &hi);
+        box_lin += 1;
+    });
+}
+
+/// Row-major strides of a granule with the given clamped extents.
+fn granule_strides_into(extents: &[usize], out: &mut [usize]) {
+    let mut stride = 1;
+    for (o, &t) in out.iter_mut().zip(extents).rev() {
+        *o = stride;
+        stride *= t;
     }
 }
 
@@ -127,15 +161,27 @@ impl<T: GroupValue> Version<T> {
         self.data.grid.box_size()
     }
 
-    /// Recovers the conceptual cube `A` this version represents: the RP
-    /// slabs concatenated in row-major order, then the backward in-box
-    /// sweeps of [`RpsEngine::to_cube`] — O(d·N), no overlay reads.
+    /// Recovers the conceptual cube `A` this version represents: each RP
+    /// granule's in-box rows copied back to their row-major places, then
+    /// the backward in-box sweeps of [`RpsEngine::to_cube`] — O(d·N), no
+    /// overlay reads.
     pub fn to_cube(&self) -> NdCube<T> {
-        let shape = &self.data.shape;
-        let mut cells = Vec::with_capacity(shape.len());
-        for slab in &self.data.rp_slabs {
-            cells.extend_from_slice(slab);
-        }
+        let VersionData {
+            grid,
+            shape,
+            rp_boxes,
+            ..
+        } = &self.data;
+        let mut cells = vec![T::zero(); shape.len()];
+        let mut cur = Vec::new();
+        for_each_box_bounds(grid, |box_lin, lo, hi| {
+            let granule = &rp_boxes[box_lin];
+            let mut from = 0;
+            shape.for_each_contiguous_run_in_bounds(lo, hi, &mut cur, |start, len| {
+                cells[start..start + len].clone_from_slice(&granule[from..from + len]);
+                from += len;
+            });
+        });
         for dim in (0..shape.ndim()).rev() {
             crate::prefix::sweep_dim_backward(
                 &mut cells,
@@ -145,7 +191,7 @@ impl<T: GroupValue> Version<T> {
             );
         }
         NdCube::from_vec(shape.dims(), cells)
-            // lint:allow(L2): the slabs partition exactly the cells of this shape
+            // lint:allow(L2): the granules partition exactly the cells of this shape
             .expect("view dims match cell count")
     }
 
@@ -175,10 +221,10 @@ impl<T: GroupValue> Version<T> {
     }
 }
 
-/// The copy-on-write slabs: the same overlay arithmetic as
+/// The copy-on-write granules: the same overlay arithmetic as
 /// [`crate::rps::overlay_prefix_part_with`], routed through the
-/// storage-generic kernel, plus the RP cell located through its slab.
-/// A version keeps no per-instance stats.
+/// storage-generic kernel, plus the RP cell read from the box granule
+/// that kernel has just located. A version keeps no per-instance stats.
 impl<T: GroupValue> PrefixSource<T> for Version<T> {
     const KIND: EngineKind = EngineKind::Rps;
 
@@ -188,7 +234,7 @@ impl<T: GroupValue> PrefixSource<T> for Version<T> {
 
     fn prefix(&self, x: &[usize], ks: &mut KernelScratch) -> Result<(T, u64), NdError> {
         let (mut acc, reads) = overlay_prefix_part_src(&self.data.grid, &self.data, x, ks);
-        acc.add_assign(self.data.rp_cell(x));
+        acc.add_assign(self.data.rp_cell(ks));
         Ok((acc, reads + 1))
     }
 }
@@ -209,26 +255,34 @@ impl<T: GroupValue> Version<T> {
     }
 }
 
-/// Cells written, box granules cloned and lane-kernel runs of one
-/// publish.
+/// Cells written, box granules and bytes cloned, and lane-kernel runs
+/// of one publish.
 #[derive(Debug, Default)]
 struct WriteCost {
     writes: u64,
     cow_boxes: u64,
+    cow_bytes: u64,
     lane_runs: u64,
 }
 
-/// `slab`, made writable: cloned first (counted as `row_boxes` copied
-/// box granules) while a published version still shares it.
-fn cow_slab<'s, T: Clone>(
-    slab: &'s mut Arc<Vec<T>>,
-    row_boxes: u64,
+/// `granule`, made writable: cloned first while a published version
+/// still shares it, and counted as `boxes` box granules and its size in
+/// bytes.
+fn cow_granule<'g, T: Clone>(
+    granule: &'g mut Arc<[T]>,
+    boxes: u64,
     cost: &mut WriteCost,
-) -> &'s mut Vec<T> {
-    if Arc::strong_count(slab) > 1 {
-        cost.cow_boxes += row_boxes;
+) -> &'g mut [T] {
+    if Arc::get_mut(granule).is_none() {
+        cost.cow_boxes += boxes;
+        cost.cow_bytes += u64::try_from(std::mem::size_of_val::<[T]>(granule)).unwrap_or(u64::MAX);
+        *granule = Arc::from(&granule[..]);
     }
-    Arc::make_mut(slab)
+    match Arc::get_mut(granule) {
+        Some(cells) => cells,
+        // lint:allow(L2): the clone above left the granule with no other owner
+        None => unreachable!("a fresh granule clone is unique"),
+    }
 }
 
 /// The writer's private, mutable twin of the published [`VersionData`],
@@ -244,18 +298,18 @@ struct WriterState<T> {
 }
 
 impl<T: GroupValue> WriterState<T> {
-    /// Box granules in one box-row slab: the cost of one slab clone.
+    /// Box granules in one overlay box row: the cost of one row clone.
     fn row_boxes(&self) -> u64 {
         u64::try_from(self.data.grid.grid_shape().strides()[0]).unwrap_or(u64::MAX)
     }
 
     /// Adds `delta` at cell `c`, copy-on-write.
     ///
-    /// An update at `c` is confined to box rows `b₀ = c₀/k₀ ..` — the RP
-    /// cascade stays inside `c`'s own box, and the overlay orthant walk
-    /// only ever touches boxes at `b₀` or below (see
-    /// [`crate::rps::apply_update_with`]) — so earlier rows keep sharing
-    /// their slabs with published versions untouched.
+    /// The RP cascade stays inside `c`'s own box, so it clones one RP
+    /// granule. The overlay orthant walk only ever touches boxes at
+    /// dim-0 index `b₀ = c₀/k₀` or below (see
+    /// [`crate::rps::apply_update_with`]), so earlier overlay rows keep
+    /// sharing their granules with published versions untouched.
     fn apply_point(&mut self, c: &[usize], delta: &T, cost: &mut WriteCost) {
         if delta.is_zero() {
             return;
@@ -266,39 +320,56 @@ impl<T: GroupValue> WriterState<T> {
         } = self;
         let VersionData {
             grid,
-            shape,
             box_offsets,
             ov_base,
             ov_slabs,
-            rp_slabs,
-            k0,
-            stride0,
+            rp_boxes,
+            ..
         } = data;
-        let b0 = c[0] / *k0;
         ks.ensure(c.len());
-        // RP cascade, run-structured through the lane kernel — the same
-        // replay as `apply_updates_parallel`, against slab b₀.
-        grid.box_hi_of_cell_into(c, &mut ks.hi);
-        let cells = cow_slab(&mut rp_slabs[b0], row_boxes, cost);
-        let base = b0 * *k0 * *stride0;
-        shape.for_each_contiguous_run_in_bounds(c, &ks.hi, &mut ks.cur, |start, len| {
-            let lo = start - base;
-            kernels::add_delta_run(&mut cells[lo..lo + len], delta);
+        // RP cascade: the cells x ≥ c of c's box, one lane-kernel call
+        // per in-box run of its granule, c − anchor ..= extents − 1.
+        let KernelScratch {
+            b,
+            anchor,
+            extents,
+            offsets,
+            hi,
+            lb: strides,
+            cur,
+            ..
+        } = &mut *ks;
+        grid.box_index_into(c, b);
+        grid.anchor_into(b, anchor);
+        grid.extents_into(b, extents);
+        granule_strides_into(extents, strides);
+        for (o, (&ci, &ai)) in offsets.iter_mut().zip(c.iter().zip(anchor.iter())) {
+            *o = ci - ai;
+        }
+        for (h, &t) in hi.iter_mut().zip(extents.iter()) {
+            *h = t - 1;
+        }
+        let own = grid.grid_shape().linear_unchecked(b);
+        let cells = cow_granule(&mut rp_boxes[own], 1, cost);
+        ndcube::for_each_run_in_bounds(strides, offsets, hi, cur, |start, len| {
+            kernels::add_delta_run(&mut cells[start..start + len], delta);
             cost.writes += u64::try_from(len).unwrap_or(u64::MAX);
             cost.lane_runs += u64::from(kernels::is_lane_run(len));
         });
-        // Overlay orthant walk, clipped to one box-row slab at a time.
-        // Rows before b₀ are never touched (the walk's row clip would
-        // return 0 writes), so they are not even cloned.
+        let b0 = b[0];
+        // Overlay orthant walk, clipped to one box row at a time. Rows
+        // before b₀ are never touched (the walk's row clip would return
+        // 0 writes), so they are not even cloned.
         for (r, slab) in (b0..).zip(&mut ov_slabs[b0..]) {
-            let cells = cow_slab(slab, row_boxes, cost);
+            let cells = cow_granule(slab, row_boxes, cost);
             cost.writes +=
                 overlay_update_walk(grid, box_offsets, cells, ov_base[r], r, r + 1, c, delta, ks);
         }
     }
 
-    /// Adds `delta` to every cell of `region`, copy-on-write, confined
-    /// to box rows `box(lo)₀ ..` like [`Self::apply_point`].
+    /// Adds `delta` to every cell of `region`, copy-on-write: one RP
+    /// granule per box the region meets, and the overlay rows from
+    /// `box(lo)₀` on, like [`Self::apply_point`].
     fn apply_range(&mut self, region: &Region, delta: &T, cost: &mut WriteCost) {
         if delta.is_zero() {
             return;
@@ -312,57 +383,43 @@ impl<T: GroupValue> WriterState<T> {
             box_offsets,
             ov_base,
             ov_slabs,
-            rp_slabs,
-            k0,
-            stride0,
+            rp_boxes,
             ..
         } = data;
         let (lo, hi) = (region.lo(), region.hi());
-        let d = lo.len();
-        ks.ensure(d);
-        // RP half: per affected box-row slab, sweep the boxes of the
-        // [box(lo), box(hi)] index rectangle with that dim-0 index — the
-        // slab-clipped form of the serial engine's box cascade.
-        grid.box_index_into(lo, &mut ks.b);
-        grid.box_index_into(hi, &mut ks.offsets);
-        let b0 = ks.b[0];
-        for (r, slab) in (b0..).zip(&mut rp_slabs[b0..=ks.offsets[0]]) {
-            let cells = cow_slab(slab, row_boxes, cost);
-            let base = r * *k0 * *stride0;
-            let KernelScratch {
-                b,
-                offsets,
-                alpha,
-                lo: rlo,
-                hi: box_hi,
-                cur,
-                e,
-                ..
-            } = &mut *ks;
-            cur.clear();
-            cur.extend_from_slice(b);
-            cur[0] = r;
-            'boxes: loop {
-                cost.writes +=
-                    rp_range_box(grid, cells, base, cur, lo, hi, delta, alpha, rlo, box_hi, e);
-                let mut dim = d;
-                loop {
-                    if dim == 1 {
-                        break 'boxes; // dim 0 is pinned to this slab
-                    }
-                    dim -= 1;
-                    if cur[dim] < offsets[dim] {
-                        cur[dim] += 1;
-                        continue 'boxes;
-                    }
-                    cur[dim] = b[dim];
-                }
-            }
-        }
+        ks.ensure(lo.len());
+        // RP half: every box of the [box(lo), box(hi)] index rectangle,
+        // each through its own granule, addressed from the box's anchor
+        // with the strides of its clamped extents.
+        let KernelScratch {
+            b,
+            offsets,
+            anchor,
+            extents,
+            lb: strides,
+            alpha,
+            lo: rlo,
+            hi: box_hi,
+            cur,
+            e,
+        } = &mut *ks;
+        grid.box_index_into(lo, b);
+        grid.box_index_into(hi, offsets);
+        let grid_shape = grid.grid_shape();
+        ndcube::for_each_coords_in_bounds(b, offsets, cur, |bp| {
+            let cells = cow_granule(&mut rp_boxes[grid_shape.linear_unchecked(bp)], 1, cost);
+            grid.anchor_into(bp, anchor);
+            grid.extents_into(bp, extents);
+            granule_strides_into(extents, strides);
+            cost.writes += rp_range_box(
+                grid, cells, anchor, strides, bp, lo, hi, delta, alpha, rlo, box_hi, e,
+            );
+        });
+        let b0 = b[0];
         // Overlay half: every box row of lo's upper orthant, one
-        // slab-clipped walk per row.
+        // row-clipped walk per row.
         for (r, slab) in (b0..).zip(&mut ov_slabs[b0..]) {
-            let cells = cow_slab(slab, row_boxes, cost);
+            let cells = cow_granule(slab, row_boxes, cost);
             cost.writes += overlay_range_walk(
                 grid,
                 box_offsets,
@@ -382,7 +439,7 @@ impl<T: GroupValue> WriterState<T> {
 /// Shared state behind every [`VersionedEngine`] handle.
 #[derive(Debug)]
 struct VersionedShared<T> {
-    /// Writer-side slabs. Always the outermost guard: `current` is only
+    /// Writer-side granules. Always the outermost guard: `current` is only
     /// write-locked beneath it. The sanctioned nesting (writer before
     /// current) is declared next to `SharedEngine`'s in `concurrent.rs`.
     writer: Mutex<WriterState<T>>,
@@ -396,7 +453,7 @@ struct VersionedShared<T> {
 }
 
 impl<T: GroupValue> VersionedShared<T> {
-    /// Runs `apply` against the writer's slabs and publishes the result
+    /// Runs `apply` against the writer's granules and publishes the result
     /// as exactly one new version that folds in `updates` more updates.
     fn publish(&self, updates: u64, apply: impl FnOnce(&mut WriterState<T>, &mut WriteCost)) {
         let mut cost = WriteCost::default();
@@ -417,12 +474,13 @@ impl<T: GroupValue> VersionedShared<T> {
         };
         drop(w);
         // Only now, with both locks released, can the retired version
-        // free the slabs no snapshot still holds.
+        // free the granules no snapshot still holds.
         drop(retired);
         self.cell_writes.fetch_add(cost.writes, Ordering::Relaxed);
         let m = crate::obs::snapshot();
         m.versions.inc();
         m.cow_boxes.add(cost.cow_boxes);
+        m.cow_bytes.add(cost.cow_bytes);
         if cost.lane_runs > 0 {
             crate::obs::core().lane_runs.add(cost.lane_runs);
         }
@@ -462,33 +520,30 @@ impl<T> Clone for VersionedEngine<T> {
 impl<T: GroupValue> VersionedEngine<T> {
     /// Takes ownership of a built engine and publishes its state as
     /// version 0.
+    ///
+    /// Every granule is copied out of the engine's flat buffers, whole
+    /// in-box rows at a time, into an allocation of exactly its size.
     pub fn new(engine: RpsEngine<T>) -> Self {
         let (grid, overlay, rp) = engine.into_parts();
         let shape = rp.shape().clone();
         let (box_offsets, cells) = overlay.into_parts();
         let rows = grid.grid_shape().dim(0);
         let row_boxes = grid.grid_shape().strides()[0];
-        let k0 = grid.box_size()[0];
-        let stride0 = shape.strides()[0];
-        let n0 = shape.dim(0);
         let ov_base: Vec<usize> = (0..=rows).map(|r| box_offsets[r * row_boxes]).collect();
-
-        // Chunk the flat buffers into per-box-row slabs.
-        let mut ov_slabs = Vec::with_capacity(rows);
-        let mut rest = cells;
-        for r in 0..rows {
-            let tail = rest.split_off(ov_base[r + 1] - ov_base[r]);
-            ov_slabs.push(Arc::new(rest));
-            rest = tail;
-        }
-        let mut rp_slabs = Vec::with_capacity(rows);
-        let mut rest = rp.into_vec();
-        for r in 0..rows {
-            let hi = ((r + 1) * k0).min(n0);
-            let tail = rest.split_off((hi - r * k0) * stride0);
-            rp_slabs.push(Arc::new(rest));
-            rest = tail;
-        }
+        let ov_slabs = ov_base
+            .windows(2)
+            .map(|w| Arc::from(&cells[w[0]..w[1]]))
+            .collect();
+        let rp = rp.as_slice();
+        let mut rp_boxes = Vec::with_capacity(grid.num_boxes());
+        let (mut box_cells, mut cur) = (Vec::new(), Vec::new());
+        for_each_box_bounds(&grid, |_, lo, hi| {
+            box_cells.clear();
+            shape.for_each_contiguous_run_in_bounds(lo, hi, &mut cur, |start, len| {
+                box_cells.extend_from_slice(&rp[start..start + len]);
+            });
+            rp_boxes.push(Arc::from(&box_cells[..]));
+        });
 
         let state = WriterState {
             data: VersionData {
@@ -497,9 +552,7 @@ impl<T: GroupValue> VersionedEngine<T> {
                 box_offsets: Arc::new(box_offsets),
                 ov_base: Arc::new(ov_base),
                 ov_slabs,
-                rp_slabs,
-                k0,
-                stride0,
+                rp_boxes,
             },
             scratch: KernelScratch::new(),
             total_updates: 0,
@@ -599,7 +652,12 @@ impl<T: GroupValue> VersionedEngine<T> {
     /// Applies a batch of updates and publishes exactly one new version
     /// for it, so readers observe the batch atomically — never a partial
     /// batch.
+    ///
+    /// An empty batch publishes and counts nothing.
     pub fn apply_batch(&self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        if updates.is_empty() {
+            return Ok(());
+        }
         for (coords, _) in updates {
             self.inner.shape.check(coords)?;
         }
@@ -742,7 +800,7 @@ mod tests {
             let r = Region::new(&lo, &hi).unwrap();
             assert_eq!(snap.query(&r).unwrap(), serial.query(&r).unwrap(), "{r:?}");
         }
-        // Every prefix cell agrees too (exercises every slab boundary).
+        // Every prefix cell agrees too (exercises every box boundary).
         for x in &snap.shape().full_region() {
             let r = Region::new(&[0; 2], &x).unwrap();
             assert_eq!(snap.query(&r).unwrap(), serial.query(&r).unwrap(), "{x:?}");
@@ -781,31 +839,70 @@ mod tests {
     fn cow_shares_untouched_slabs() {
         let v = paper_versioned();
         let before = v.snapshot();
-        // Update in box row 1 (cube row 4): box row 0's slabs must be
-        // shared untouched with version 0; row 1's RP slab must be new.
+        // Update at cube cell (4, 4): box (1, 1), box row 1 of the 3×3
+        // grid. Every other RP box granule is shared with version 0, as
+        // is overlay row 0; box (1, 1)'s granule and rows 1..=2 are new.
         v.update(&[4, 4], 1).unwrap();
         let after = v.snapshot();
-        assert!(Arc::ptr_eq(
-            &before.data.ov_slabs[0],
-            &after.data.ov_slabs[0]
-        ));
-        assert!(Arc::ptr_eq(
-            &before.data.rp_slabs[0],
-            &after.data.rp_slabs[0]
-        ));
-        assert!(!Arc::ptr_eq(
-            &before.data.rp_slabs[1],
-            &after.data.rp_slabs[1]
-        ));
-        assert!(!Arc::ptr_eq(
-            &before.data.ov_slabs[1],
-            &after.data.ov_slabs[1]
-        ));
+        let own = 4; // box (1, 1) in grid row-major order
+        for (b, (old, new)) in before
+            .data
+            .rp_boxes
+            .iter()
+            .zip(&after.data.rp_boxes)
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(old, new), b != own, "RP box {b}");
+        }
+        for (r, (old, new)) in before
+            .data
+            .ov_slabs
+            .iter()
+            .zip(&after.data.ov_slabs)
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(old, new), r < 1, "overlay row {r}");
+        }
         // Write cost matches the serial engine's accounting for the
         // same update.
         let mut serial = RpsEngine::from_cube_uniform(&paper_array_a(), 3).unwrap();
         serial.update(&[4, 4], 1).unwrap();
         assert_eq!(v.write_count(), serial.stats().cell_writes);
+    }
+
+    #[test]
+    fn write_cost_counts_each_cloned_granule_once() {
+        let v = paper_versioned();
+        let mut w = v.inner.writer.lock().unwrap();
+        let mut cost = WriteCost::default();
+        // Version 0 shares every granule, so the first write to each
+        // clones it: box (1, 1)'s 3×3 RP granule (one box) and overlay
+        // rows 1 and 2 (3 boxes of 5 stored cells each).
+        w.apply_point(&[4, 4], &1, &mut cost);
+        let cell = std::mem::size_of::<i64>() as u64;
+        assert_eq!(cost.cow_boxes, 1 + 3 + 3);
+        assert_eq!(cost.cow_bytes, (9 + 2 * 15) * cell);
+        // A second write to the same granules clones nothing more.
+        w.apply_point(&[5, 3], &2, &mut cost);
+        assert_eq!(cost.cow_boxes, 7);
+        assert_eq!(cost.cow_bytes, 39 * cell);
+        // A range over boxes (0, 0)..=(0, 1) clones their two RP
+        // granules and overlay row 0.
+        let r = Region::new(&[1, 1], &[2, 4]).unwrap();
+        w.apply_range(&r, &3, &mut cost);
+        assert_eq!(cost.cow_boxes, 7 + 2 + 3);
+        assert_eq!(cost.cow_bytes, (39 + 18 + 15) * cell);
+    }
+
+    #[test]
+    fn empty_batch_publishes_nothing() {
+        let v = paper_versioned();
+        v.apply_batch(&[]).unwrap();
+        assert_eq!(v.current_version(), 0);
+        assert_eq!(v.update_count(), 0);
+        v.apply_batch(&[(vec![1, 1], 2)]).unwrap();
+        v.apply_batch(&[]).unwrap();
+        assert_eq!(v.current_version(), 1);
     }
 
     #[test]
@@ -891,7 +988,7 @@ mod tests {
 
     #[test]
     fn versioned_matches_serial_after_many_updates() {
-        // d = 3, ragged boxes: every slab-boundary case in one sweep.
+        // d = 3, ragged boxes: every box-boundary case in one sweep.
         let a = NdCube::from_fn(&[6, 5, 4], |c| (c[0] * 20 + c[1] * 4 + c[2]) as i64).unwrap();
         let mut serial = RpsEngine::from_cube_with_box_size(&a, &[2, 3, 2]).unwrap();
         let v = VersionedEngine::new(RpsEngine::from_cube_with_box_size(&a, &[2, 3, 2]).unwrap());
@@ -934,7 +1031,7 @@ mod tests {
 
     #[test]
     fn mixed_point_and_range_ops_match_serial_3d() {
-        // d = 3, ragged boxes: range rectangles crossing slab boundaries
+        // d = 3, ragged boxes: range rectangles crossing box boundaries
         // interleaved with point deltas.
         let a = NdCube::from_fn(&[6, 5, 4], |c| (c[0] * 20 + c[1] * 4 + c[2]) as i64).unwrap();
         let mut serial = RpsEngine::from_cube_with_box_size(&a, &[2, 3, 2]).unwrap();

@@ -331,3 +331,58 @@ fn check_held_snapshots(s: &WriteScenario) {
         assert_eq!(snap.total(), total, "snapshot {i} total");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // `VersionedEngine::new` moves the RP array into per-box granules,
+    // and `Version::to_cube` moves them back: after the build and after
+    // every write, a snapshot's cube equals the serial engine's own
+    // `to_cube` given the same writes. Box sizes are random, so most
+    // boxes are ragged.
+
+    /// d = 1.
+    #[test]
+    fn snapshot_to_cube_matches_serial_d1(s in write_scenario(1)) {
+        check_to_cube(&s);
+    }
+
+    /// d = 2.
+    #[test]
+    fn snapshot_to_cube_matches_serial_d2(s in write_scenario(2)) {
+        check_to_cube(&s);
+    }
+
+    /// d = 3.
+    #[test]
+    fn snapshot_to_cube_matches_serial_d3(s in write_scenario(3)) {
+        check_to_cube(&s);
+    }
+}
+
+fn check_to_cube(s: &WriteScenario) {
+    let cube = NdCube::from_vec(&s.dims, s.initial.clone()).unwrap();
+    let mut serial = RpsEngine::from_cube_with_box_size(&cube, &s.k).unwrap();
+    let v = VersionedEngine::new(serial.clone());
+    assert_eq!(v.snapshot().to_cube(), serial.to_cube(), "built engines");
+    for (i, w) in s.writes.iter().enumerate() {
+        match w {
+            Write::Point(c, delta) => {
+                v.update(c, *delta).unwrap();
+                serial.update(c, *delta).unwrap();
+            }
+            Write::Range(a, b, delta) => {
+                let region = bounding_box(a, b);
+                v.range_update(&region, *delta).unwrap();
+                serial.range_update(&region, *delta).unwrap();
+            }
+            Write::Batch(batch) => {
+                v.apply_batch(batch).unwrap();
+                for (c, delta) in batch {
+                    serial.update(c, *delta).unwrap();
+                }
+            }
+        }
+        assert_eq!(v.snapshot().to_cube(), serial.to_cube(), "after write {i}");
+    }
+}

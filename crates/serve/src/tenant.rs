@@ -531,6 +531,32 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_publishes_no_version() {
+        let root = tmp("empty-batch");
+        for persistence in [
+            Persistence::Ephemeral,
+            Persistence::Durable {
+                root: root.clone(),
+                policy: SnapshotPolicy::default(),
+            },
+        ] {
+            let reg = Registry::new(persistence, TenantQuota::default(), 0);
+            reg.create("a", &[8, 8]).unwrap();
+            let t = reg.get("a").unwrap();
+            t.batch_update(&[(vec![1, 1], 5)]).unwrap();
+            let version = t.versioned().current_version();
+            t.batch_update(&[]).unwrap();
+            assert_eq!(
+                t.versioned().current_version(),
+                version,
+                "{}",
+                t.is_durable()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn duplicate_create_never_reopens_a_live_tenants_wal() {
         let root = tmp("dup-create");
         let persistence = Persistence::Durable {

@@ -90,11 +90,7 @@ fn replay_tail<E: RangeSumEngine<i64>>(
             }
         })
         .collect();
-    // An empty batch would still count one, and publish a version on a
-    // versioned engine.
-    if !points.is_empty() {
-        engine.update_batch(&points).map_err(StorageError::Engine)?;
-    }
+    engine.update_batch(&points).map_err(StorageError::Engine)?;
     for (lo, hi, delta) in ranges {
         Region::new(&lo, &hi)
             .and_then(|region| engine.range_update(&region, delta))
@@ -350,8 +346,12 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
     /// which is what lets a server promise rejected-means-not-applied
     /// for client batches. The records are then applied through
     /// [`RangeSumEngine::update_batch`], so a versioned engine publishes
-    /// the batch as one version.
+    /// the batch as one version. An empty batch logs, applies and counts
+    /// nothing.
     pub fn update_batch(&mut self, updates: &[(Vec<usize>, i64)]) -> Result<(), StorageError> {
+        if updates.is_empty() {
+            return Ok(());
+        }
         let m = rps_core::obs::engine(rps_core::obs::EngineKind::Durable);
         m.batches.inc();
         m.batch_updates
@@ -967,6 +967,23 @@ mod tests {
         assert_eq!(report.source, RecoverySource::Snapshot(4));
         assert_eq!(report.replayed, 0);
         assert_eq!(r.query(&full()).unwrap(), 15);
+    }
+
+    #[test]
+    fn empty_batch_logs_and_publishes_nothing() {
+        let wal = tmp("emptybatch.wal");
+        let mut d = DurableEngine::open(fresh_8x8().unwrap(), &wal, 0)
+            .unwrap()
+            .map_engine(rps_core::VersionedEngine::new);
+        d.update_batch(&[(vec![1, 1], 3)]).unwrap();
+        let before = (d.wal_bytes(), d.last_lsn(), d.records_since_checkpoint());
+        d.update_batch(&[]).unwrap();
+        assert_eq!(d.engine().current_version(), 1, "no version for no records");
+        assert_eq!(
+            (d.wal_bytes(), d.last_lsn(), d.records_since_checkpoint()),
+            before
+        );
+        assert_eq!(d.query(&full()).unwrap(), 3);
     }
 
     /// The bytes of a log holding one point record per update in
