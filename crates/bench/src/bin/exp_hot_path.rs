@@ -9,6 +9,15 @@
 //! [`rps_bench::alloc_counter`]), for steady-state point queries, range
 //! queries and point updates, plus the parallel batch-update path.
 //!
+//! The `checkpoint` section times the durable checkpoint stall:
+//! [`rps_storage::crc32`] throughput at a WAL record's 28 bytes, 1 KiB
+//! and a 256² snapshot payload's 512 KiB, then `checkpoint_to` on a
+//! `VersionedEngine` behind a `DurableEngine` in a temp dir, split into
+//! the stages its production histograms record: WAL sync
+//! (`storage_wal_fsync_ns`), capture+encode (`rps_snapshot_encode_ns`),
+//! artifact write (`rps_snapshot_save_ns`), and GC (what the whole call,
+//! `rps_snapshot_checkpoint_ns`, spent beyond those three).
+//!
 //! ```text
 //! cargo run --release -p rps-bench --bin exp_hot_path            # full
 //! cargo run --release -p rps-bench --bin exp_hot_path -- --smoke # CI
@@ -20,11 +29,13 @@
 //! root is refreshed with the full configuration (see
 //! `docs/PERFORMANCE.md` for how to read and refresh it).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use ndcube::{NdCube, Region};
 use rps_bench::alloc_counter::{thread_allocs, CountingAllocator};
-use rps_core::{BlockedFenwickEngine, FenwickEngine, RangeSumEngine, RpsEngine};
+use rps_core::{BlockedFenwickEngine, FenwickEngine, RangeSumEngine, RpsEngine, VersionedEngine};
+use rps_storage::{crc32, DurableEngine, FsSnapshotDir};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen, UpdateSpec};
 
 #[global_allocator]
@@ -332,6 +343,218 @@ fn run_range_scenario(name: &str, dims: &[usize], ops: usize, smoke: bool) -> Ra
     }
 }
 
+/// Median, 10th and 90th percentile of a sample (nearest rank).
+struct Spread {
+    median: f64,
+    p10: f64,
+    p90: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+        Spread {
+            median: at(0.5),
+            p10: at(0.1),
+            p90: at(0.9),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "\"median_ms\":{:.3},\"p10_ms\":{:.3},\"p90_ms\":{:.3}",
+            self.median, self.p10, self.p90
+        )
+    }
+}
+
+/// `crc32` over one buffer size: the median of `repeats` timed loops.
+struct CrcRow {
+    bytes: usize,
+    ns_per_call: f64,
+}
+
+impl CrcRow {
+    fn mb_per_s(&self) -> f64 {
+        self.bytes as f64 * 1e3 / self.ns_per_call
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"bytes\":{},\"ns_per_call\":{:.1},\"mb_per_s\":{:.0}}}",
+            self.bytes,
+            self.ns_per_call,
+            self.mb_per_s()
+        )
+    }
+}
+
+fn measure_crc32(bytes: usize, loop_bytes: usize, repeats: usize) -> CrcRow {
+    let buf: Vec<u8> = (0..bytes)
+        .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+        .collect();
+    let calls = (loop_bytes / bytes).max(1);
+    let mut sink = 0u32;
+    let mut per_call = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let start = Instant::now();
+        for _ in 0..calls {
+            sink ^= crc32(black_box(&buf));
+        }
+        per_call.push(start.elapsed().as_nanos() as f64 / calls as f64);
+    }
+    black_box(sink);
+    CrcRow {
+        bytes,
+        ns_per_call: Spread::of(per_call).median,
+    }
+}
+
+/// The stages of one `checkpoint_to`, each with the metric it is read
+/// from; `gc` is what the whole call (`rps_snapshot_checkpoint_ns`)
+/// spent beyond the other three: the retention list and removals.
+const CHECKPOINT_STAGES: [(&str, &str); 4] = [
+    ("wal_sync", "storage_wal_fsync_ns"),
+    ("capture_encode", "rps_snapshot_encode_ns"),
+    ("store_write", "rps_snapshot_save_ns"),
+    ("gc", "rps_snapshot_checkpoint_ns minus the rest"),
+];
+
+struct CheckpointSection {
+    crc32: Vec<CrcRow>,
+    dims: Vec<usize>,
+    box_size: Vec<usize>,
+    records_between: usize,
+    repeats: usize,
+    total: Spread,
+    stages: Vec<Spread>,
+}
+
+impl CheckpointSection {
+    fn print(&self) {
+        println!("\n=== checkpoint: crc32 and checkpoint_to stages ===\n");
+        for r in &self.crc32 {
+            println!(
+                "  crc32 {:>7} B  {:>12.1} ns/call  {:>7.0} MB/s",
+                r.bytes,
+                r.ns_per_call,
+                r.mb_per_s()
+            );
+        }
+        println!(
+            "  checkpoint_to dims {:?} k {:?}, {} records between, {} repeats",
+            self.dims, self.box_size, self.records_between, self.repeats
+        );
+        let rows = std::iter::once(("total", &self.total)).chain(
+            CHECKPOINT_STAGES
+                .iter()
+                .map(|(stage, _)| *stage)
+                .zip(&self.stages),
+        );
+        for (stage, s) in rows {
+            println!(
+                "    {stage:<15} median {:>7.3} ms  p10 {:>7.3}  p90 {:>7.3}",
+                s.median, s.p10, s.p90
+            );
+        }
+    }
+
+    fn json(&self) -> String {
+        let list = |v: &[usize]| {
+            v.iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let crc: Vec<String> = self.crc32.iter().map(CrcRow::json).collect();
+        let stages: Vec<String> = CHECKPOINT_STAGES
+            .iter()
+            .zip(&self.stages)
+            .map(|((stage, metric), s)| {
+                format!(
+                    "{{\"stage\":\"{stage}\",\"metric\":\"{metric}\",{}}}",
+                    s.json()
+                )
+            })
+            .collect();
+        format!(
+            "{{\n    \"crc32\":[\n      {}\n    ],\n    \"checkpoint_to\":{{\"dims\":[{}],\"box_size\":[{}],\"records_between\":{},\"repeats\":{},\"total\":{{{}}},\"stages\":[\n      {}\n    ]}}\n  }}",
+            crc.join(",\n      "),
+            list(&self.dims),
+            list(&self.box_size),
+            self.records_between,
+            self.repeats,
+            self.total.json(),
+            stages.join(",\n      ")
+        )
+    }
+}
+
+/// Times `checkpoint_to` on the `durable_ingest` geometry: `records`
+/// logged updates (batches of 64) before each of `repeats` checkpoints,
+/// after two untimed ones that create the files and warm the cache.
+fn run_checkpoint_section(dims: &[usize], records: usize, repeats: usize) -> CheckpointSection {
+    let crc32_rows = [28usize, 1 << 10, 512 << 10]
+        .iter()
+        .map(|&b| measure_crc32(b, 32 << 20, 7))
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("rps-exp-hot-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = VersionedEngine::new(RpsEngine::<i64>::zeros(dims).expect("valid dims"));
+    let box_size = engine.snapshot().box_size().to_vec();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut durable = DurableEngine::open(engine, &dir.join("wal.log"), 0).expect("open WAL");
+    let mut store = FsSnapshotDir::open(&dir.join("snapshots")).expect("open snapshot dir");
+    let mut updates = UpdateGen::uniform(dims, 29, 50);
+
+    let m = rps_storage::obs::storage();
+    // Each checkpoint adds one observation to each histogram, so the
+    // change in a histogram's sum is that stage's time.
+    let sums = || {
+        [
+            m.wal_fsync_ns.sum(),
+            m.snapshot_encode_ns.sum(),
+            m.snapshot_save_ns.sum(),
+            m.snapshot_checkpoint_ns.sum(),
+        ]
+    };
+    rps_obs::set_timing(true);
+    let mut totals = Vec::with_capacity(repeats);
+    let mut stages: [Vec<f64>; 4] = Default::default();
+    for rep in 0..repeats + 2 {
+        for _ in 0..records / 64 {
+            durable.update_batch(&updates.take(64)).expect("in bounds");
+        }
+        let before = sums();
+        durable.checkpoint_to(&mut store).expect("checkpoint");
+        let after = sums();
+        if rep < 2 {
+            continue;
+        }
+        let [sync, encode, write, whole] =
+            std::array::from_fn(|i| (after[i] - before[i]) as f64 / 1e6);
+        let gc = whole - sync - encode - write;
+        for (stage, ms) in stages.iter_mut().zip([sync, encode, write, gc]) {
+            stage.push(ms);
+        }
+        totals.push(whole);
+    }
+    rps_obs::set_timing(false);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    CheckpointSection {
+        crc32: crc32_rows,
+        dims: dims.to_vec(),
+        box_size,
+        records_between: records,
+        repeats,
+        total: Spread::of(totals),
+        stages: stages.into_iter().map(Spread::of).collect(),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -370,13 +593,20 @@ fn main() {
         ]
     };
 
+    let checkpoint = if smoke {
+        run_checkpoint_section(&[64, 64], 256, 5)
+    } else {
+        run_checkpoint_section(&[256, 256], 2048, 21)
+    };
+
     let body: Vec<String> = scenarios.iter().map(Scenario::json).collect();
     let range_body: Vec<String> = range_scenarios.iter().map(RangeScenario::json).collect();
     let json = format!(
-        "{{\n  \"bench\": \"exp_hot_path\",\n  \"mode\": \"{}\",\n  \"scenarios\": [\n{}\n  ],\n  \"range_update\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"exp_hot_path\",\n  \"mode\": \"{}\",\n  \"scenarios\": [\n{}\n  ],\n  \"range_update\": [\n{}\n  ],\n  \"checkpoint\": {}\n}}\n",
         if smoke { "smoke" } else { "full" },
         body.join(",\n"),
-        range_body.join(",\n")
+        range_body.join(",\n"),
+        checkpoint.json()
     );
 
     println!("=== hot-path latency & allocation baseline ===\n");
@@ -409,6 +639,8 @@ fn main() {
             }
         }
     }
+
+    checkpoint.print();
 
     std::fs::write(&out_path, &json).expect("write BENCH_HOTPATH.json");
     println!("\nwrote {out_path}");

@@ -46,6 +46,25 @@ pub struct DurableTenant {
     last_checkpoint_lsn: u64,
 }
 
+impl DurableTenant {
+    /// Consults the snapshot policy after a write that is already
+    /// logged, applied and published, so a failed policy checkpoint must
+    /// not fail the write: `internal` promises the request had no effect
+    /// on published state, and a client that retried would apply the
+    /// write twice. The WAL still holds the write; the failure counts in
+    /// `rps_snapshot_save_failures_total`, and the trigger re-arms one
+    /// full interval later ([`DurableEngine::maybe_checkpoint`]). The
+    /// explicit [`Tenant::checkpoint`] still reports its failures.
+    fn checkpoint_by_policy(&mut self) {
+        // lint:allow(L7): callers hold the durable mutex. The WAL-first
+        // contract requires the policy-driven checkpoint to run under the
+        // same per-tenant write lock that ordered the update.
+        if let Ok(Some(lsn)) = self.engine.maybe_checkpoint(&mut self.store) {
+            self.last_checkpoint_lsn = lsn;
+        }
+    }
+}
+
 /// One hosted cube.
 #[derive(Debug)]
 pub struct Tenant {
@@ -89,18 +108,8 @@ impl Tenant {
     pub fn update(&self, coords: &[usize], delta: i64) -> Result<(), ServeError> {
         if let Some(durable) = &self.durable {
             let mut d = lock_durable(durable);
-            let DurableTenant {
-                engine,
-                store,
-                last_checkpoint_lsn,
-            } = &mut *d;
-            engine.update(coords, delta)?;
-            // lint:allow(L7): the WAL-first contract requires the policy-
-            // driven checkpoint to run under the same per-tenant write lock
-            // that ordered the update; snapshot I/O here is the feature.
-            if let Some(lsn) = engine.maybe_checkpoint(store)? {
-                *last_checkpoint_lsn = lsn;
-            }
+            d.engine.update(coords, delta)?;
+            d.checkpoint_by_policy();
         } else {
             self.versioned.update(coords, delta)?;
         }
@@ -115,17 +124,8 @@ impl Tenant {
     pub fn batch_update(&self, updates: &[(Vec<usize>, i64)]) -> Result<(), ServeError> {
         if let Some(durable) = &self.durable {
             let mut d = lock_durable(durable);
-            let DurableTenant {
-                engine,
-                store,
-                last_checkpoint_lsn,
-            } = &mut *d;
-            engine.update_batch(updates)?;
-            // lint:allow(L7): see Tenant::update — checkpointing is the
-            // reason this lock exists.
-            if let Some(lsn) = engine.maybe_checkpoint(store)? {
-                *last_checkpoint_lsn = lsn;
-            }
+            d.engine.update_batch(updates)?;
+            d.checkpoint_by_policy();
         } else {
             self.versioned.apply_batch(updates)?;
         }
@@ -644,6 +644,45 @@ mod tests {
         let snap = t.versioned().snapshot();
         let sum = snap.query(&Region::new(&[0, 0], &[7, 7]).unwrap()).unwrap();
         assert_eq!(sum, 1, "rejected batch reappeared after recovery");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_policy_checkpoint_still_acks_the_applied_batch() {
+        let root = tmp("checkpoint-fails");
+        let persistence = Persistence::Durable {
+            root: root.clone(),
+            policy: SnapshotPolicy {
+                max_wal_bytes: None,
+                max_records: Some(1),
+                retain: 2,
+            },
+        };
+        let snapshots = root.join("a").join("snapshots");
+        let batch: Vec<(Vec<usize>, i64)> = vec![(vec![1, 1], 5), (vec![6, 2], 7)];
+        let failures = &rps_storage::obs::storage().snapshot_save_failures;
+        {
+            let reg = Registry::new(persistence.clone(), TenantQuota::default(), 0);
+            reg.create("a", &[8, 8]).unwrap();
+            let t = reg.get("a").unwrap();
+            // Every artifact write now fails: `snapshots/` is a file.
+            std::fs::remove_dir_all(&snapshots).unwrap();
+            std::fs::write(&snapshots, b"not a directory").unwrap();
+            let before = failures.get();
+            t.batch_update(&batch)
+                .expect("the batch is logged and published before the checkpoint runs");
+            assert_eq!(t.versioned().total(), 12, "the acked batch is visible");
+            assert!(failures.get() > before, "the failed checkpoint is counted");
+            assert_eq!(t.stats().last_checkpoint_lsn, 0);
+            // The explicit snapshot request still reports the failure.
+            assert!(t.checkpoint().is_err());
+        }
+        std::fs::remove_file(&snapshots).unwrap();
+        std::fs::create_dir(&snapshots).unwrap();
+        let reg = Registry::new(persistence, TenantQuota::default(), 0);
+        reg.create("a", &[8, 8]).unwrap();
+        let t = reg.get("a").unwrap();
+        assert_eq!(t.versioned().total(), 12, "the WAL replays the acked batch");
         let _ = std::fs::remove_dir_all(&root);
     }
 

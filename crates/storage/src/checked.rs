@@ -15,10 +15,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 
+use crate::crc::crc32;
 use crate::device::{DeviceStats, PageId};
 use crate::error::StorageError;
 use crate::file_device::{PageStore, PodCell};
-use crate::snapshot::crc32;
 
 /// CRC-32 over the page's little-endian wire encoding.
 fn page_checksum<T: PodCell>(cells: &[T]) -> u32 {

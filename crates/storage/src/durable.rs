@@ -100,6 +100,22 @@ fn replay_tail<E: RangeSumEngine<i64>>(
     Ok((replayed, prefix_bytes))
 }
 
+/// Retention GC after a checkpoint: removes every artifact but the
+/// newest `retain` (at least 1). Best-effort throughout: a leftover
+/// artifact costs disk, not correctness, and the next checkpoint
+/// retries it.
+fn gc_snapshots<S: SnapshotStore>(store: &mut S, retain: usize) {
+    let Ok(lsns) = store.list() else {
+        return;
+    };
+    let retain = retain.max(1);
+    if lsns.len() > retain {
+        for &old in &lsns[..lsns.len() - retain] {
+            let _gc_best_effort = store.remove(old);
+        }
+    }
+}
+
 /// An engine whose updates are write-ahead logged.
 ///
 /// ```
@@ -143,6 +159,11 @@ pub struct DurableEngine<E, L: LogFile = FsLogFile> {
     wal_len_at_checkpoint: u64,
     /// Updates logged since the last checkpoint (the record half).
     records_since_checkpoint: u64,
+    /// `(WAL length, records since checkpoint)` when the last policy
+    /// checkpoint failed, if one has failed since the last success. The
+    /// trigger then measures from this mark, so a failing store is tried
+    /// again after another full interval, not on every write.
+    failed_checkpoint_mark: Option<(u64, u64)>,
 }
 
 impl<E: RangeSumEngine<i64>> DurableEngine<E, FsLogFile> {
@@ -208,6 +229,7 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             policy: SnapshotPolicy::default(),
             wal_len_at_checkpoint: prefix_bytes,
             records_since_checkpoint: replayed,
+            failed_checkpoint_mark: None,
         }
     }
 
@@ -224,6 +246,7 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             policy: self.policy,
             wal_len_at_checkpoint: self.wal_len_at_checkpoint,
             records_since_checkpoint: self.records_since_checkpoint,
+            failed_checkpoint_mark: self.failed_checkpoint_mark,
         }
     }
 
@@ -451,17 +474,43 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
     ///
     /// A failed snapshot write leaves recovery no worse than before the
     /// call: the WAL still holds everything, and any partial artifact
-    /// fails its CRC at load and is quarantined.
+    /// fails its CRC at load and is quarantined. The failure counts in
+    /// `rps_snapshot_save_failures_total`. GC is best-effort and cannot
+    /// fail a checkpoint whose artifact is written.
     pub fn checkpoint_to<S: SnapshotStore>(&mut self, store: &mut S) -> Result<u64, StorageError> {
+        let m = crate::obs::storage();
+        let sw = rps_obs::Stopwatch::start();
+        let saved = self.save_snapshot(store);
+        match saved {
+            Ok(_) => {
+                gc_snapshots(store, self.policy.retain);
+                self.wal_len_at_checkpoint = self.wal.len();
+                self.records_since_checkpoint = 0;
+                self.failed_checkpoint_mark = None;
+            }
+            Err(_) => m.snapshot_save_failures.inc(),
+        }
+        sw.record(&m.snapshot_checkpoint_ns);
+        saved
+    }
+
+    /// The write half of [`Self::checkpoint_to`]: syncs the WAL, captures
+    /// and encodes the engine at the current LSN, and writes the
+    /// artifact. Each stage has its own histogram.
+    fn save_snapshot<S: SnapshotStore>(&mut self, store: &mut S) -> Result<u64, StorageError> {
         {
             let retry = self.retry;
             let wal = &mut self.wal;
             retry.run(|| wal.sync())?;
         }
         let lsn = self.wal.last_lsn();
-        let (dims, box_size, cells) = self.engine.capture();
-        let bytes = encode_snapshot(lsn, &dims, &box_size, &cells)?;
         let m = crate::obs::storage();
+        let sw = rps_obs::Stopwatch::start();
+        let bytes = {
+            let (dims, box_size, cells) = self.engine.capture();
+            encode_snapshot(lsn, &dims, &box_size, &cells)?
+        };
+        sw.record(&m.snapshot_encode_ns);
         let sw = rps_obs::Stopwatch::start();
         {
             let retry = self.retry;
@@ -471,18 +520,6 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
         m.snapshot_saves.inc();
         m.snapshot_last_lsn.set(lsn);
         m.checkpoints.inc();
-        let retain = self.policy.retain.max(1);
-        let lsns = store.list()?;
-        if lsns.len() > retain {
-            for &old in &lsns[..lsns.len() - retain] {
-                // Retention GC is best-effort: a leftover artifact
-                // costs disk, not correctness, and the next checkpoint
-                // retries it.
-                let _gc_best_effort = store.remove(old);
-            }
-        }
-        self.wal_len_at_checkpoint = self.wal.len();
-        self.records_since_checkpoint = 0;
         Ok(lsn)
     }
 
@@ -490,18 +527,28 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
     /// trigger (bytes-since-checkpoint OR records-since-checkpoint)
     /// fires; returns the checkpoint LSN when one was cut. Call after a
     /// batch of updates to drive automatic checkpointing.
+    ///
+    /// After a failed attempt the trigger measures from the failure, so
+    /// the next attempt comes one full interval later rather than on
+    /// the very next call.
     pub fn maybe_checkpoint<S: SnapshotStore>(
         &mut self,
         store: &mut S,
     ) -> Result<Option<u64>, StorageError> {
-        if self.policy.should_checkpoint(
-            self.wal_bytes_since_checkpoint(),
-            self.records_since_checkpoint,
+        let (len_mark, records_mark) = self
+            .failed_checkpoint_mark
+            .unwrap_or((self.wal_len_at_checkpoint, 0));
+        if !self.policy.should_checkpoint(
+            self.wal.len().saturating_sub(len_mark),
+            self.records_since_checkpoint.saturating_sub(records_mark),
         ) {
-            self.checkpoint_to(store).map(Some)
-        } else {
-            Ok(None)
+            return Ok(None);
         }
+        let checkpoint = self.checkpoint_to(store);
+        if checkpoint.is_err() {
+            self.failed_checkpoint_mark = Some((self.wal.len(), self.records_since_checkpoint));
+        }
+        checkpoint.map(Some)
     }
 
     /// Recovers from a snapshot chain plus the WAL, degrading
@@ -916,6 +963,50 @@ mod tests {
         .unwrap();
         assert_eq!(report.source, RecoverySource::Snapshot(12));
         assert_eq!(r.query(&full()).unwrap(), 12);
+    }
+
+    #[test]
+    fn failed_policy_checkpoint_rearms_after_a_full_interval() {
+        let log = crate::SimLogFile::new(crate::FaultPlan::none(), 1);
+        let mut d = DurableEngine::open_log(fresh_8x8().unwrap(), log, 0).unwrap();
+        d.set_retry_policy(RetryPolicy::NONE);
+        d.set_snapshot_policy(SnapshotPolicy {
+            max_wal_bytes: None,
+            max_records: Some(3),
+            retain: 2,
+        });
+        // Every artifact write fails; each attempt is one injected fault.
+        let mut store = crate::SimSnapshotStore::new(
+            crate::FaultPlan {
+                write_transient: 1000,
+                ..crate::FaultPlan::none()
+            },
+            1,
+        );
+        let failures = &crate::obs::storage().snapshot_save_failures;
+        let failures_before = failures.get();
+        let mut attempts = Vec::new();
+        for i in 0..9usize {
+            d.update(&[i % 8, 1], 1).unwrap();
+            let tried = store.injected().transients;
+            let result = d.maybe_checkpoint(&mut store);
+            if store.injected().transients > tried {
+                assert!(result.is_err());
+                attempts.push(d.last_lsn());
+            } else {
+                assert_eq!(result.unwrap(), None);
+            }
+        }
+        assert_eq!(attempts, vec![3, 6, 9], "one attempt per full interval");
+        assert!(failures.get() >= failures_before + 3);
+        assert_eq!(d.records_since_checkpoint(), 9, "no checkpoint was cut");
+        store.set_plan(crate::FaultPlan::none());
+        for i in 0..3usize {
+            d.update(&[i, 2], 1).unwrap();
+            let cut = d.maybe_checkpoint(&mut store).unwrap();
+            assert_eq!(cut, (i == 2).then_some(12));
+        }
+        assert_eq!(d.records_since_checkpoint(), 0);
     }
 
     #[test]

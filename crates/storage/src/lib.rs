@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 mod checked;
+mod crc;
 mod device;
 mod disk_array;
 mod diskrps;
@@ -49,6 +50,7 @@ mod snapshot;
 mod wal;
 
 pub use checked::CheckedStore;
+pub use crc::crc32;
 pub use device::{BlockDevice, DeviceConfig, DeviceStats, PageId};
 pub use disk_array::{DiskArray, Layout};
 pub use diskrps::{DiskRpsEngine, ScrubReport};
@@ -59,9 +61,9 @@ pub use file_device::{FileDevice, PageStore, PodCell};
 pub use latency::LatencyModel;
 pub use pool::{BufferPool, IoStats};
 pub use snapshot::{
-    crc32, decode_snapshot, encode_snapshot, peek_header, write_atomic, FsSnapshotDir,
-    RecoveryReport, RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy,
-    SnapshotState, SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, peek_header, write_atomic, FsSnapshotDir, RecoveryReport,
+    RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy, SnapshotState,
+    SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use wal::{
     decode_log, decode_records, FsLogFile, LogFile, Wal, WalRecord, RANGE_FLAG, WAL_MAGIC,

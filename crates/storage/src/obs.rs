@@ -60,7 +60,16 @@ pub struct StorageMetrics {
     pub snapshot_loads: Counter,
     /// Recovery fallbacks past a corrupt, torn or unreadable snapshot.
     pub snapshot_fallbacks: Counter,
-    /// Snapshot encode+write latency (ns; gated by `rps_obs::set_timing`).
+    /// Checkpoints whose WAL sync, encode or artifact write failed.
+    pub snapshot_save_failures: Counter,
+    /// Whole-checkpoint latency: WAL sync, capture, encode, artifact
+    /// write and GC (ns; gated by `rps_obs::set_timing`).
+    pub snapshot_checkpoint_ns: Histogram,
+    /// Checkpoint capture+encode latency (ns; gated by
+    /// `rps_obs::set_timing`).
+    pub snapshot_encode_ns: Histogram,
+    /// Snapshot artifact write latency: tmp write, fsync, rename and
+    /// directory fsync (ns; gated by `rps_obs::set_timing`).
     pub snapshot_save_ns: Histogram,
     /// Snapshot read+verify+restore latency (ns; gated by
     /// `rps_obs::set_timing`).
@@ -117,6 +126,9 @@ static STORAGE: StorageMetrics = StorageMetrics {
     snapshot_saves: Counter::new(),
     snapshot_loads: Counter::new(),
     snapshot_fallbacks: Counter::new(),
+    snapshot_save_failures: Counter::new(),
+    snapshot_checkpoint_ns: Histogram::new(),
+    snapshot_encode_ns: Histogram::new(),
     snapshot_save_ns: Histogram::new(),
     snapshot_load_ns: Histogram::new(),
     wal_replay_ns: Histogram::new(),
@@ -298,9 +310,33 @@ fn register_all() {
         &[],
         &STORAGE.snapshot_fallbacks,
     );
+    reg.counter(
+        "rps_snapshot_save_failures_total",
+        "Checkpoints whose WAL sync, encode or artifact write failed",
+        "ops",
+        sub,
+        &[],
+        &STORAGE.snapshot_save_failures,
+    );
+    reg.histogram(
+        "rps_snapshot_checkpoint_ns",
+        "Whole checkpoint: WAL sync, capture+encode, artifact write, GC",
+        "ns",
+        sub,
+        &[],
+        &STORAGE.snapshot_checkpoint_ns,
+    );
+    reg.histogram(
+        "rps_snapshot_encode_ns",
+        "Checkpoint capture+encode latency",
+        "ns",
+        sub,
+        &[],
+        &STORAGE.snapshot_encode_ns,
+    );
     reg.histogram(
         "rps_snapshot_save_ns",
-        "Snapshot encode+write latency",
+        "Snapshot artifact write latency (tmp write, fsync, rename, directory fsync)",
         "ns",
         sub,
         &[],

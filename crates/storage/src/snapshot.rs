@@ -41,6 +41,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::crc::crc32;
 use crate::error::StorageError;
 
 /// Magic bytes opening every snapshot ("RPSSNAP1").
@@ -55,42 +56,6 @@ const MAX_NDIM: usize = 16;
 /// Refuse to allocate more than this many cells while decoding — a
 /// corrupt header must not become an OOM.
 const MAX_SNAPSHOT_CELLS: u64 = 1 << 28;
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), dependency-free.
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3, the `cksum`/zlib polynomial) of `bytes`.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Typed verification failures.
@@ -229,28 +194,28 @@ pub fn encode_snapshot(
         });
     }
 
-    let mut payload = Vec::with_capacity(cells.len() * 8);
-    for &c in cells {
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
-    let payload_crc = crc32(&payload);
-
-    let mut out = Vec::with_capacity(SnapshotHeader::encoded_len(ndim) + payload.len() + 4);
+    // One buffer, written once: the header with both CRC fields zeroed,
+    // then the payload; the CRCs are computed over the bytes in place
+    // and patched in.
+    let header_len = SnapshotHeader::encoded_len(ndim);
+    let payload_end = header_len + cells.len() * 8;
+    let mut out = Vec::with_capacity(payload_end + 4);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(&(ndim as u32).to_le_bytes());
-    for &d in dims {
+    for &d in dims.iter().chain(box_size) {
         out.extend_from_slice(&(d as u32).to_le_bytes());
     }
-    for &k in box_size {
-        out.extend_from_slice(&(k as u32).to_le_bytes());
+    out.resize(payload_end, 0);
+    for (dst, c) in out[header_len..].chunks_exact_mut(8).zip(cells) {
+        dst.copy_from_slice(&c.to_le_bytes());
     }
-    out.extend_from_slice(&payload_crc.to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&payload_crc.to_le_bytes());
+    let payload_crc = crc32(&out[header_len..]).to_le_bytes();
+    out[header_len - 8..header_len - 4].copy_from_slice(&payload_crc);
+    let header_crc = crc32(&out[..header_len - 4]).to_le_bytes();
+    out[header_len - 4..header_len].copy_from_slice(&header_crc);
+    out.extend_from_slice(&payload_crc);
     Ok(out)
 }
 
@@ -425,7 +390,10 @@ pub trait SnapshotStore {
     /// Moves the artifact at `lsn` out of the recovery chain (kept for
     /// forensics, never returned by [`SnapshotStore::list`] again).
     fn quarantine(&mut self, lsn: u64) -> Result<(), StorageError>;
-    /// Deletes the artifact at `lsn` (retention GC).
+    /// Deletes the artifact at `lsn` (retention GC). The deletion need
+    /// not be durable on return: a removed artifact that reappears after
+    /// a crash is an older, still-valid snapshot, and the next GC
+    /// removes it again.
     fn remove(&mut self, lsn: u64) -> Result<(), StorageError>;
 }
 
@@ -533,10 +501,11 @@ impl SnapshotStore for FsSnapshotDir {
         Ok(())
     }
 
+    /// Unlinks the artifact without a directory sync: the rename sync of
+    /// the next [`write_atomic`] into this directory makes the removal
+    /// durable, so a checkpoint pays one directory fsync, not two.
     fn remove(&mut self, lsn: u64) -> Result<(), StorageError> {
-        fs::remove_file(self.slot_path(lsn)).map_err(|e| StorageError::io("remove snapshot", e))?;
-        sync_dir(&self.dir);
-        Ok(())
+        fs::remove_file(self.slot_path(lsn)).map_err(|e| StorageError::io("remove snapshot", e))
     }
 }
 
@@ -637,17 +606,6 @@ impl fmt::Display for RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // IEEE 802.3 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
 
     #[test]
     fn encode_decode_round_trip() {

@@ -53,8 +53,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::crc::crc32;
 use crate::error::StorageError;
-use crate::snapshot::crc32;
 
 /// Magic opening every log file ("RPSWAL02").
 pub const WAL_MAGIC: [u8; 8] = *b"RPSWAL02";
