@@ -18,9 +18,6 @@ fn bench_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rps", n), &cube, |b, a| {
             b.iter(|| RpsEngine::from_cube(black_box(a)));
         });
-        group.bench_with_input(BenchmarkId::new("rps-parallel-4", n), &cube, |b, a| {
-            b.iter(|| RpsEngine::from_cube_parallel(black_box(a), 4));
-        });
         group.bench_with_input(BenchmarkId::new("fenwick", n), &cube, |b, a| {
             b.iter(|| FenwickEngine::from_cube(black_box(a)));
         });

@@ -7,7 +7,8 @@
 //! which prefix-sum structure wins in practice. This experiment pins both:
 //! wall-clock per op and heap allocations per op (via
 //! [`rps_bench::alloc_counter`]), for steady-state point queries, range
-//! queries and point updates, plus the parallel batch-update path.
+//! queries and point updates, both legs of `RpsEngine::apply_batch`, and
+//! the lane-width `add_delta_run` kernel against its scalar twin.
 //!
 //! The `checkpoint` section times the durable checkpoint stall:
 //! [`rps_storage::crc32`] throughput at a WAL record's 28 bytes, 1 KiB
@@ -34,12 +35,16 @@ use std::time::Instant;
 
 use ndcube::{NdCube, Region};
 use rps_bench::alloc_counter::{thread_allocs, CountingAllocator};
+use rps_core::rps::kernels;
 use rps_core::{BlockedFenwickEngine, FenwickEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_storage::{crc32, DurableEngine, FsSnapshotDir};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen, UpdateSpec};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Updates per incremental batch: `durable_ingest`'s write frame.
+const FRAME: usize = 64;
 
 /// One measured loop: ns/op and allocs/op over `ops` operations.
 struct Measurement {
@@ -143,24 +148,55 @@ fn run_scenario(name: &str, dims: &[usize], query_ops: usize, update_ops: usize)
     }));
     result_names.push("update".to_string());
 
-    // Batch path: the adaptive incremental/rebuild decision plus (once
-    // the parallel orthant walk lands) slab-parallel overlay writes.
-    for &threads in &[1usize, 4] {
-        let batch: Vec<(Vec<usize>, i64)> =
-            UpdateGen::uniform(dims, 17 + threads as u64, 50).take(update_ops.max(1));
-        let start = Instant::now();
-        let alloc_before = thread_allocs();
-        engine
-            .apply_batch_parallel(&batch, threads)
-            .expect("in bounds");
-        let elapsed = start.elapsed();
-        results.push(Measurement {
-            ops: batch.len(),
-            ns_per_op: elapsed.as_nanos() as f64 / batch.len() as f64,
-            allocs_per_op: (thread_allocs() - alloc_before) as f64 / batch.len() as f64,
-        });
-        result_names.push(format!("batch_update_t{threads}"));
-    }
+    // Both legs of `apply_batch`, each checked through its return value
+    // (`true` = rebuilt). Batches of `FRAME` updates stay incremental;
+    // one batch of `update_ops` updates rebuilds.
+    let frames: Vec<Vec<(Vec<usize>, i64)>> = {
+        let mut gen = UpdateGen::uniform(dims, 17, 50);
+        (0..(update_ops / FRAME).max(1))
+            .map(|_| gen.take(FRAME))
+            .collect()
+    };
+    let mut fi = frames.iter();
+    let mut m = measure(frames.len(), || {
+        let frame = fi.next().expect("one frame per op");
+        let rebuilt = engine.apply_batch(frame).expect("in bounds");
+        assert!(!rebuilt, "a {FRAME}-update batch must stay incremental");
+    });
+    m.ops *= FRAME;
+    m.ns_per_op /= FRAME as f64;
+    m.allocs_per_op /= FRAME as f64;
+    results.push(m);
+    result_names.push("batch_update_incremental".to_string());
+
+    let batch: Vec<(Vec<usize>, i64)> = UpdateGen::uniform(dims, 18, 50).take(update_ops.max(1));
+    let mut m = measure(1, || {
+        let rebuilt = engine.apply_batch(&batch).expect("in bounds");
+        assert!(rebuilt, "a {}-update batch must rebuild", batch.len());
+    });
+    m.ops = batch.len();
+    m.ns_per_op /= batch.len() as f64;
+    m.allocs_per_op /= batch.len() as f64;
+    results.push(m);
+    result_names.push("batch_update_rebuild".to_string());
+
+    // The lane update kernel vs its retained scalar twin over one
+    // RP-stride-wide row: the innermost loop of every update cascade.
+    let row_len = dims[dims.len() - 1].max(kernels::LANES);
+    let mut lane_buf = vec![1i64; row_len];
+    let mut scalar_buf = vec![1i64; row_len];
+    results.push(measure(query_ops, || {
+        kernels::add_delta_run(black_box(&mut lane_buf), &3);
+    }));
+    result_names.push("lane_add_delta".to_string());
+    results.push(measure(query_ops, || {
+        kernels::add_delta_run_scalar(black_box(&mut scalar_buf), &3);
+    }));
+    result_names.push("scalar_add_delta".to_string());
+    assert_eq!(
+        lane_buf, scalar_buf,
+        "lane kernel must match its scalar twin"
+    );
 
     // Keep the checksum alive so the optimizer cannot delete the loops.
     assert!(sink != i64::MIN, "checksum sentinel");
@@ -614,7 +650,7 @@ fn main() {
         println!("scenario {} dims {:?} k {:?}", s.name, s.dims, s.box_size);
         for (m, n) in s.results.iter().zip(&s.result_names) {
             println!(
-                "  {n:<16} {:>10.1} ns/op  {:>8.4} allocs/op  ({} ops)",
+                "  {n:<24} {:>10.1} ns/op  {:>8.4} allocs/op  ({} ops)",
                 m.ns_per_op, m.allocs_per_op, m.ops
             );
         }

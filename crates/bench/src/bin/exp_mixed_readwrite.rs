@@ -188,7 +188,7 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
             cfg,
             rate,
             |_, regions| {
-                let out = shared.query_many_parallel(regions, 1).expect("in bounds");
+                let out = shared.query_many(regions).expect("in bounds");
                 assert!(out.len() == regions.len());
             },
             |c| shared.update(c, 1).expect("in bounds"),

@@ -208,14 +208,13 @@ fn run_mode(
         },
     ));
 
-    // The sharded parallel front-end, measured per query. Worker-side
-    // scratch lives on the worker threads (invisible to this thread's
-    // counter by design); what this pins is the *calling thread's*
-    // per-batch bookkeeping, which must amortize to ~0 allocs per query.
+    // The corner-cached batch path, measured per query: its per-batch
+    // bookkeeping (the output and the cache table) must amortize to ~0
+    // allocs per query.
     let batch: Vec<Region> = QueryGen::new(&dims, 19, RegionSpec::Fraction(0.5)).take(1024);
     let rounds = (query_ops / batch.len()).max(1);
-    let m = measure("parallel_query_t4", rounds, None, || {
-        let out = engine.query_many_parallel(&batch, 4).expect("in bounds");
+    let m = measure("query_many", rounds, None, || {
+        let out = engine.query_many(&batch).expect("in bounds");
         sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
     });
     let per_query = Measurement {
@@ -228,8 +227,8 @@ fn run_mode(
     if mode == "timing_off" {
         assert!(
             per_query.allocs_per_op < 0.05,
-            "timing-off parallel queries must stay ~0 allocs/op on the \
-             calling thread, measured {:.4}",
+            "timing-off query_many batches must stay ~0 allocs/op, \
+             measured {:.4}",
             per_query.allocs_per_op
         );
     }

@@ -1,13 +1,13 @@
 //! Shared plumbing for the throughput report binaries
-//! (`exp_parallel_query`, `exp_mixed_readwrite`).
+//! (`exp_mixed_readwrite`, `exp_serve_throughput`).
 //!
 //! Both binaries write into the one committed `BENCH_THROUGHPUT.json`,
 //! so the file is structured as a map of per-binary sections:
 //!
 //! ```json
 //! { "benches": {
-//!     "exp_mixed_readwrite": { "mode": "full", ... },
-//!     "exp_parallel_query":  { "mode": "full", ... } } }
+//!     "exp_mixed_readwrite":  { "mode": "full", ... },
+//!     "exp_serve_throughput": { "mode": "full", ... } } }
 //! ```
 //!
 //! [`splice_section`] replaces (or inserts) exactly one named section,
@@ -204,19 +204,21 @@ mod tests {
 
     #[test]
     fn splice_into_empty_creates_the_layout() {
-        let doc = splice_section(None, "exp_parallel_query", r#"{"mode": "full"}"#);
+        let doc = splice_section(None, "exp_serve_throughput", r#"{"mode": "full"}"#);
         assert!(doc.contains("\"benches\""));
-        assert!(doc.contains("\"exp_parallel_query\": {\"mode\": \"full\"}"));
+        assert!(doc.contains("\"exp_serve_throughput\": {\"mode\": \"full\"}"));
     }
 
     #[test]
     fn splice_preserves_other_sections() {
-        let doc = splice_section(None, "exp_parallel_query", r#"{"mode": "full", "n": 1}"#);
+        let doc = splice_section(None, "exp_serve_throughput", r#"{"mode": "full", "n": 1}"#);
         let doc = splice_section(Some(&doc), "exp_mixed_readwrite", r#"{"mode": "smoke"}"#);
         // Both present, sorted, original untouched.
-        assert!(doc.contains("\"exp_parallel_query\": {\"mode\": \"full\", \"n\": 1}"));
+        assert!(doc.contains("\"exp_serve_throughput\": {\"mode\": \"full\", \"n\": 1}"));
         assert!(doc.contains("\"exp_mixed_readwrite\": {\"mode\": \"smoke\"}"));
-        assert!(doc.find("exp_mixed_readwrite").unwrap() < doc.find("exp_parallel_query").unwrap());
+        assert!(
+            doc.find("exp_mixed_readwrite").unwrap() < doc.find("exp_serve_throughput").unwrap()
+        );
     }
 
     #[test]
@@ -231,8 +233,8 @@ mod tests {
 
     #[test]
     fn legacy_layout_is_rebuilt() {
-        let legacy = r#"{"bench": "exp_parallel_query", "scenarios": []}"#;
-        let doc = splice_section(Some(legacy), "exp_parallel_query", r#"{"mode": "full"}"#);
+        let legacy = r#"{"bench": "exp_serve_throughput", "scenarios": []}"#;
+        let doc = splice_section(Some(legacy), "exp_serve_throughput", r#"{"mode": "full"}"#);
         assert!(doc.contains("\"benches\""));
         assert!(!doc.contains("\"scenarios\": []"));
     }

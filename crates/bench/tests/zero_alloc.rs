@@ -1,5 +1,6 @@
 //! The allocation contract, enforced: steady-state `RpsEngine::query`,
-//! `::prefix_sum` and `::update` perform **zero** heap allocations.
+//! `::prefix_sum` and `::update`, and the Fenwick engines' warm
+//! `range_update`, perform **zero** heap allocations.
 //!
 //! This is the measured form of the promise `docs/PERFORMANCE.md` makes
 //! and the L5 lint guards statically: after one warm-up pass (which is
@@ -15,9 +16,9 @@
 
 use ndcube::Region;
 use rps_bench::alloc_counter::{thread_alloc_bytes, thread_allocs, CountingAllocator};
-use rps_core::{RangeSumEngine, RpsEngine, VersionedEngine};
+use rps_core::{BlockedFenwickEngine, FenwickEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_storage::{DeviceConfig, DiskRpsEngine};
-use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen};
+use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen, UpdateSpec};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -151,6 +152,40 @@ fn instrumented_paths_stay_alloc_free_with_timing_and_tracing() {
         events.iter().any(|e| e.name == "rps.update"),
         "expected rps.update spans in the trace ring"
     );
+}
+
+/// Allocations across `OPS` range updates after `WARM` warm-up ones. The
+/// first range update allocates the `2^d` auxiliary trees; none after it
+/// may allocate.
+fn warm_range_update_allocs<E: RangeSumEngine<i64>>(mut engine: E, dims: &[usize]) -> u64 {
+    let mut gen = UpdateGen::uniform(dims, 23, 50).with_region_spec(UpdateSpec::Fraction(0.05));
+    let rects: Vec<(Region, i64)> = (0..WARM + OPS).map(|_| gen.next_range_update()).collect();
+    let (warm, measured) = rects.split_at(WARM);
+    for (r, d) in warm {
+        engine.range_update(r, *d).expect("in bounds");
+    }
+    let before = thread_allocs();
+    for (r, d) in measured {
+        engine.range_update(r, *d).expect("in bounds");
+    }
+    thread_allocs() - before
+}
+
+#[test]
+fn warm_fenwick_range_updates_do_not_allocate() {
+    for dims in [vec![48usize, 48], vec![16, 16, 16]] {
+        let cube = CubeGen::new(0xA110C).uniform(&dims, -50, 50).expect("dims");
+        let fenwick = warm_range_update_allocs(FenwickEngine::from_cube(&cube), &dims);
+        assert_eq!(
+            fenwick, 0,
+            "fenwick range updates on {dims:?} allocated {fenwick} times in {OPS} ops"
+        );
+        let blocked = warm_range_update_allocs(BlockedFenwickEngine::from_cube(&cube), &dims);
+        assert_eq!(
+            blocked, 0,
+            "blocked-fenwick range updates on {dims:?} allocated {blocked} times in {OPS} ops"
+        );
+    }
 }
 
 /// The lane-width kernels ride the same contract: on a cube whose

@@ -166,11 +166,8 @@ pub fn help(out: &mut dyn Write) -> CmdResult {
          \x20 update   --file FILE (--cell R,C | --region LO:HI) --delta N\n\
          \x20     apply a point update, or add N to every cell of an\n\
          \x20     inclusive rectangle, and write the snapshot back\n\
-         \x20 bench    [--dims 256x256] [--ops N] [--seed N] [--parallel N]\n\
-         \x20     compare all methods on a mixed workload (cells touched);\n\
-         \x20     --parallel N also times the query batch through the sharded\n\
-         \x20     N-thread front-end (on one versioned snapshot)\n\
-         \x20     against the serial path\n\
+         \x20 bench    [--dims 256x256] [--ops N] [--seed N]\n\
+         \x20     compare all methods on a mixed workload (cells touched)\n\
          \x20 rollup   --file FILE --dim D --bucket B [--range LO:HI]\n\
          \x20     GROUP BY along dimension D in buckets of B (cube or engine files)\n\
          \x20 verify   [--file FILE] [--wal FILE]\n\
@@ -866,44 +863,6 @@ fn bench(args: &Args, out: &mut dyn Write) -> CmdResult {
     } else {
         return Err("engines disagreed on query answers".into());
     }
-
-    if let Some(threads) = args.optional_usize("parallel")? {
-        let threads = threads.max(1);
-        let regions: Vec<Region> = workload
-            .iter()
-            .filter_map(|op| match op {
-                rps_workload::Op::Query(r) => Some(r.clone()),
-                rps_workload::Op::Update { .. } => None,
-            })
-            .collect();
-        let engine = RpsEngine::from_cube(&cube);
-        let t0 = std::time::Instant::now();
-        let serial = engine.query_many(&regions)?;
-        let serial_ns = t0.elapsed().as_nanos();
-        // The sharded batch runs through the versioned engine's read
-        // path: the snapshot is taken once and the whole batch answers
-        // from it without ever blocking a writer (see
-        // docs/PERFORMANCE.md §8).
-        let versioned = rps_core::VersionedEngine::new(RpsEngine::from_cube(&cube));
-        let snapshot = versioned.snapshot();
-        let t1 = std::time::Instant::now();
-        let parallel = snapshot.query_many_parallel(&regions, threads)?;
-        let parallel_ns = t1.elapsed().as_nanos();
-        if serial != parallel {
-            return Err("parallel front-end disagreed with serial query_many".into());
-        }
-        writeln!(
-            out,
-            "\nparallel query front-end: {} queries, {threads} threads \
-             (versioned snapshot v{})",
-            regions.len(),
-            snapshot.number()
-        )?;
-        writeln!(out, "  serial    {serial_ns} ns")?;
-        // lint:allow(L4): bench reporting; f64 rounding is irrelevant here
-        let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
-        writeln!(out, "  parallel  {parallel_ns} ns ({speedup:.2}x)")?;
-    }
     Ok(())
 }
 
@@ -1530,15 +1489,6 @@ mod tests {
         let (out, ok) = run_capture(&["bench", "--dims", "24x24", "--ops", "60"]);
         assert!(ok, "{out}");
         assert!(out.contains("all methods agree"));
-    }
-
-    #[test]
-    fn bench_parallel_flag_times_front_end() {
-        let (out, ok) =
-            run_capture(&["bench", "--dims", "32x32", "--ops", "80", "--parallel", "2"]);
-        assert!(ok, "{out}");
-        assert!(out.contains("parallel query front-end"), "{out}");
-        assert!(out.contains("2 threads"), "{out}");
     }
 
     #[test]

@@ -294,8 +294,7 @@ impl<T: GroupValue> RangeSumEngine<T> for BlockedFenwickEngine<T> {
     // `FenwickEngine` — the blocked base layout is untouched; the 2^d
     // corner suffix-adds land in the shared auxiliary trees.
     fn range_update(&mut self, region: &Region, delta: T) -> Result<(), NdError> {
-        let shape = self.cells.shape().clone();
-        shape.check_region(region)?;
+        self.cells.shape().check_region(region)?;
         let m = crate::obs::core();
         m.range_update_fast.inc();
         m.range_update_cells
@@ -307,7 +306,14 @@ impl<T: GroupValue> RangeSumEngine<T> for BlockedFenwickEngine<T> {
         let _span = rps_obs::Span::enter("blocked_fenwick.range_update", &m.range_update_ns);
         self.total
             .add_assign(&delta.scale(u64::try_from(region.cell_count()).unwrap_or(u64::MAX)));
-        range_update_aux(&shape, &mut self.aux, &self.stats, region, &delta);
+        range_update_aux(
+            self.cells.shape(),
+            &mut self.aux,
+            &self.stats,
+            region,
+            &delta,
+            &mut self.scratch,
+        );
         self.stats.update();
         Ok(())
     }

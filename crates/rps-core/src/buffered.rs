@@ -175,23 +175,6 @@ impl<T: GroupValue, M: RangeSumEngine<T>> BufferedEngine<M, T> {
     }
 }
 
-impl<T: GroupValue> BufferedEngine<crate::RpsEngine<T>, T> {
-    /// Batch query with the main RPS structure answered by the sharded
-    /// parallel front-end; buffered deltas are folded in serially (the
-    /// buffer is small by construction — at most `merge_threshold` cells).
-    pub fn query_many_parallel(
-        &self,
-        regions: &[Region],
-        threads: usize,
-    ) -> Result<Vec<T>, NdError> {
-        let mut out = self.main.query_many_parallel(regions, threads)?;
-        for (acc, region) in out.iter_mut().zip(regions) {
-            acc.add_assign(&self.delta.query(region)?);
-        }
-        Ok(out)
-    }
-}
-
 impl<T: GroupValue, M: RangeSumEngine<T>> RangeSumEngine<T> for BufferedEngine<M, T> {
     fn name(&self) -> &'static str {
         "buffered"
@@ -343,22 +326,6 @@ mod tests {
         // And the answers still agree.
         let r = Region::new(&[0, 0], &[8, 8]).unwrap();
         assert_eq!(buffered.query(&r).unwrap(), plain.query(&r).unwrap());
-    }
-
-    #[test]
-    fn buffered_query_many_parallel_sees_pending_deltas() {
-        let a = paper_array_a();
-        let mut b = BufferedEngine::new(RpsEngine::from_cube_uniform(&a, 3).unwrap(), 100);
-        b.update(&[2, 2], 10).unwrap();
-        b.update(&[7, 7], -4).unwrap();
-        assert_eq!(b.pending(), 2, "deltas must still be buffered");
-        let regions: Vec<Region> = (0..16)
-            .map(|i| Region::new(&[i % 4, i % 3], &[(i % 4) + 4, (i % 3) + 5]).unwrap())
-            .collect();
-        let serial: Vec<i64> = regions.iter().map(|r| b.query(r).unwrap()).collect();
-        for threads in [1, 2, 4] {
-            assert_eq!(b.query_many_parallel(&regions, threads).unwrap(), serial);
-        }
     }
 
     #[test]

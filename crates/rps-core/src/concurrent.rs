@@ -149,19 +149,16 @@ impl<E> SharedEngine<E> {
         self.read(|e| e.cell(coords))
     }
 
-    /// Answers a batch of queries, fanned out across `threads` worker
-    /// shards, under one shared-lock hold — the whole batch observes one
-    /// snapshot, exactly like a single [`SharedEngine::query`] does.
-    pub fn query_many_parallel<T>(
-        &self,
-        regions: &[Region],
-        threads: usize,
-    ) -> Result<Vec<T>, NdError>
+    /// Answers a batch of queries through the engine's corner-cached
+    /// [`crate::RpsEngine::query_many`] under one shared-lock hold — the
+    /// whole batch observes one snapshot, exactly like a single
+    /// [`SharedEngine::query`] does.
+    pub fn query_many<T>(&self, regions: &[Region]) -> Result<Vec<T>, NdError>
     where
         T: GroupValue,
         E: std::borrow::Borrow<crate::RpsEngine<T>>,
     {
-        let out = self.read(|e| e.borrow().query_many_parallel(regions, threads));
+        let out = self.read(|e| e.borrow().query_many(regions));
         if out.is_ok() {
             self.inner.queries.fetch_add(
                 u64::try_from(regions.len()).unwrap_or(u64::MAX),
@@ -269,15 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_query_many_parallel_matches_serial_queries() {
+    fn shared_query_many_matches_serial_queries() {
         let shared = SharedEngine::new(RpsEngine::from_cube_uniform(&paper_array_a(), 3).unwrap());
         let regions: Vec<Region> = (0..24)
             .map(|i| Region::new(&[i % 5, i % 4], &[(i % 5) + 3, (i % 4) + 4]).unwrap())
             .collect();
         let serial: Vec<i64> = regions.iter().map(|r| shared.query(r).unwrap()).collect();
         let before = shared.query_count();
-        let par = shared.query_many_parallel::<i64>(&regions, 4).unwrap();
-        assert_eq!(par, serial);
+        let batch = shared.query_many::<i64>(&regions).unwrap();
+        assert_eq!(batch, serial);
         assert_eq!(shared.query_count(), before + 24);
     }
 

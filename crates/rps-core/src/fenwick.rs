@@ -12,6 +12,7 @@ use ndcube::{NdCube, NdError, Region, Shape};
 
 use crate::corners::range_sum_from_prefix;
 use crate::engine::RangeSumEngine;
+use crate::rps::KernelScratch;
 use crate::stats::{CostStats, StatsCell};
 use crate::value::GroupValue;
 
@@ -52,6 +53,9 @@ pub struct FenwickEngine<T> {
     /// Cached grand total, bumped on every update — `total()` in O(1).
     total: T,
     stats: StatsCell,
+    /// Corner and index buffers of the range-update walk, reused across
+    /// calls.
+    scratch: KernelScratch,
 }
 
 /// One Fenwick prefix chain walk over `tree` (recursive over dimensions).
@@ -108,13 +112,16 @@ fn tree_add_rec<T: GroupValue>(
 /// Applies the `2^d`-corner dual-BIT decomposition of a range update to
 /// the auxiliary trees, allocating them on first use — shared by
 /// [`FenwickEngine`] and [`crate::BlockedFenwickEngine`], whose base
-/// layouts differ but whose range-update mechanism is identical.
+/// layouts differ but whose range-update mechanism is identical. The
+/// corner and the chain index live in the engine-owned `ks`, so once the
+/// trees exist a call allocates nothing.
 pub(crate) fn range_update_aux<T: GroupValue>(
     shape: &Shape,
     aux: &mut Vec<NdCube<T>>,
     stats: &StatsCell,
     region: &Region,
     delta: &T,
+    ks: &mut KernelScratch,
 ) {
     let d = shape.ndim();
     if aux.is_empty() {
@@ -128,8 +135,8 @@ pub(crate) fn range_update_aux<T: GroupValue>(
             })
             .collect();
     }
-    let mut p = vec![0usize; d];
-    let mut idx = vec![0usize; d];
+    ks.ensure(d);
+    let KernelScratch { lo: p, hi: idx, .. } = ks;
     // Inclusion–exclusion over the 2^d region corners: +δ at lo-side
     // corners, −δ past the hi side; corners past the cube edge are empty
     // suffixes and vanish.
@@ -164,7 +171,7 @@ pub(crate) fn range_update_aux<T: GroupValue>(
             if sign {
                 val = T::zero().sub(&val);
             }
-            tree_add_rec(tree, stats, &p, 0, &mut idx, &val);
+            tree_add_rec(tree, stats, p, 0, idx, &val);
         }
     }
 }
@@ -203,6 +210,7 @@ impl<T: GroupValue> FenwickEngine<T> {
             aux: Vec::new(),
             total: T::zero(),
             stats: StatsCell::new(),
+            scratch: KernelScratch::new(),
         })
     }
 
@@ -276,8 +284,7 @@ impl<T: GroupValue> RangeSumEngine<T> for FenwickEngine<T> {
     // suffix-adds into 2^d auxiliary trees, O(4^d·log^d n) regardless of
     // the rectangle size (see the type-level docs).
     fn range_update(&mut self, region: &Region, delta: T) -> Result<(), NdError> {
-        let shape = self.tree.shape().clone();
-        shape.check_region(region)?;
+        self.tree.shape().check_region(region)?;
         let m = crate::obs::core();
         m.range_update_fast.inc();
         m.range_update_cells
@@ -289,7 +296,14 @@ impl<T: GroupValue> RangeSumEngine<T> for FenwickEngine<T> {
         let _span = rps_obs::Span::enter("fenwick.range_update", &m.range_update_ns);
         self.total
             .add_assign(&delta.scale(u64::try_from(region.cell_count()).unwrap_or(u64::MAX)));
-        range_update_aux(&shape, &mut self.aux, &self.stats, region, &delta);
+        range_update_aux(
+            self.tree.shape(),
+            &mut self.aux,
+            &self.stats,
+            region,
+            &delta,
+            &mut self.scratch,
+        );
         self.stats.update();
         Ok(())
     }

@@ -71,8 +71,6 @@ pub struct CoreMetrics {
     pub scratch_reuse: Counter,
     /// Ops that fell back to a fresh scratch (re-entrant `with_scratch`).
     pub scratch_fresh: Counter,
-    /// Worker shards fanned out by `query_many_parallel` batches.
-    pub parallel_query_shards: Counter,
     /// Contiguous runs processed by the lane-width kernels (runs of at
     /// least [`crate::rps::kernels::LANES`] cells).
     pub lane_runs: Counter,
@@ -111,7 +109,6 @@ static CORE: CoreMetrics = CoreMetrics {
     query_many_corner_misses: Counter::new(),
     scratch_reuse: Counter::new(),
     scratch_fresh: Counter::new(),
-    parallel_query_shards: Counter::new(),
     lane_runs: Counter::new(),
     range_update_fast: Counter::new(),
     range_update_slow: Counter::new(),
@@ -212,14 +209,6 @@ fn register_all() {
         "rps-core",
         &[],
         &CORE.scratch_fresh,
-    );
-    reg.counter(
-        "rps_parallel_query_shards_total",
-        "Worker shards fanned out by query_many_parallel batches",
-        "ops",
-        "rps-core",
-        &[],
-        &CORE.parallel_query_shards,
     );
     reg.counter(
         "rps_lane_runs_total",

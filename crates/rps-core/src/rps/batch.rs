@@ -111,10 +111,43 @@ impl<T: GroupValue> RpsEngine<T> {
     /// rebuild, recover `A`, fold in the rest of the batch, and rebuild.
     ///
     /// Duplicate coordinates in the batch are fine (deltas accumulate).
-    /// Large incremental batches are partitioned across worker threads —
-    /// see [`Self::apply_batch_parallel`] for the thread-count knob.
+    /// Every coordinate is checked before the first write, so a batch is
+    /// all-or-nothing. An empty batch counts nothing.
     pub fn apply_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<bool, NdError> {
-        self.apply_batch_parallel(updates, crate::rps::parallel::default_threads())
+        const SAMPLE: usize = 32;
+        if updates.is_empty() {
+            return Ok(false);
+        }
+        for (coords, _) in updates {
+            self.shape().check(coords)?;
+        }
+        let m = crate::obs::engine(crate::obs::EngineKind::Rps);
+        m.batches.inc();
+        m.batch_updates
+            .add(u64::try_from(updates.len()).unwrap_or(u64::MAX));
+        let (sampled, rest) = updates.split_at(updates.len().min(SAMPLE));
+        let before = self.stats().cell_writes;
+        for (coords, delta) in sampled {
+            self.update(coords, delta.clone())?;
+        }
+        if rest.is_empty() {
+            return Ok(false);
+        }
+        // lint:allow(L4): write counters stay far below 2^53; f64 rounding is harmless here
+        let measured = (self.stats().cell_writes - before) as f64 / est(sampled.len());
+        if measured * est(rest.len()) <= self.rebuild_cost() {
+            for (coords, delta) in rest {
+                self.update(coords, delta.clone())?;
+            }
+            return Ok(false);
+        }
+        let mut a = self.to_cube();
+        for (coords, delta) in rest {
+            let lin = a.shape().linear_unchecked(coords);
+            a.get_linear_mut(lin).add_assign(delta);
+        }
+        self.rebuild_from(&a)?;
+        Ok(true)
     }
 }
 

@@ -60,8 +60,7 @@ pub fn build_overlay<T: GroupValue>(a: &NdCube<T>, rp: &NdCube<T>, grid: BoxGrid
     build_overlay_from_p(a, &p, rp, grid)
 }
 
-/// [`build_overlay`] with a caller-supplied prefix array `P` (e.g. one
-/// computed by the parallel sweeps).
+/// [`build_overlay`] with a caller-supplied prefix array `P`.
 ///
 /// Run-structured: stored slots are numbered in "first zero dimension"
 /// groups, and within every group `z < d−1` the last dimension is the

@@ -13,8 +13,8 @@
 //! scalar remainder tail: [`add_delta_run`] and [`sum_run`]. Each keeps a
 //! `_scalar` twin, the one-cell-at-a-time form: the property tests pin
 //! the lane kernel bit-identical to it (including non-multiple-of-`LANES`
-//! tails and runs shorter than one lane), and `exp_parallel_query` times
-//! both side by side. The row combines ([`add_rows`], [`sub_rows`]) and
+//! tails and runs shorter than one lane), and `exp_hot_path` times
+//! `add_delta_run` against its twin (`lane_add_delta`/`scalar_add_delta`). The row combines ([`add_rows`], [`sub_rows`]) and
 //! the fused border kernel ([`border_from_p_run`]) are plain zipped loops:
 //! their chunked forms ran about twice as slow on rows of 64–1024 `i64`.
 //!

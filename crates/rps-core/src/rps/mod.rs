@@ -22,7 +22,6 @@ mod grid;
 mod invariants;
 pub mod kernels;
 mod overlay;
-mod parallel;
 mod query;
 mod scratch;
 mod update;
@@ -34,8 +33,6 @@ pub use grid::BoxGrid;
 pub use invariants::Violation;
 pub use overlay::Overlay;
 pub(crate) use overlay::{overlay_prefix_part_src, OverlaySource};
-pub use parallel::{prefix_sums_parallel, relative_prefix_sums_parallel};
-pub(crate) use query::range_sums_parallel;
 pub use query::{range_sum, range_sums, PrefixSource};
 pub use scratch::{with_scratch, KernelScratch, Scratch};
 pub use update::{
@@ -122,18 +119,6 @@ impl<T: GroupValue> RpsEngine<T> {
     pub fn from_cube_with_box_size(a: &NdCube<T>, k: &[usize]) -> Result<Self, NdError> {
         let grid = BoxGrid::new(a.shape().clone(), k)?;
         Ok(Self::from_cube_with_grid(a, grid))
-    }
-
-    /// Assembles an engine from prebuilt parts (used by the parallel
-    /// constructor).
-    pub(crate) fn from_parts(grid: BoxGrid, overlay: Overlay<T>, rp: NdCube<T>) -> Self {
-        RpsEngine {
-            grid,
-            overlay,
-            rp,
-            stats: StatsCell::new(),
-            scratch: KernelScratch::new(),
-        }
     }
 
     /// Replaces the engine's counters (used when a rebuild swaps the
@@ -732,6 +717,38 @@ mod tests {
             batch_reads < individual_reads,
             "batch {batch_reads} vs individual {individual_reads}"
         );
+    }
+
+    #[test]
+    fn query_many_counts_queries_and_reads() {
+        let a = NdCube::from_fn(&[40, 40], |c| (c[0] + c[1]) as i64).unwrap();
+        let e = RpsEngine::from_cube_uniform(&a, 6).unwrap();
+        // A dashboard-style mix: windows, column strips, points.
+        let regions: Vec<Region> = (0..48)
+            .map(|i| match i % 3 {
+                0 => Region::new(&[i % 30, i % 20], &[(i % 30) + 9, (i % 20) + 14]).unwrap(),
+                1 => Region::new(&[0, i % 35], &[39, (i % 35) + 4]).unwrap(),
+                _ => Region::point(&[i % 40, (i * 7) % 40]).unwrap(),
+            })
+            .collect();
+        e.reset_stats();
+        e.query_many(&regions).unwrap();
+        let s = e.stats();
+        assert_eq!(s.queries, 48);
+        // Reads are bounded by the uncached worst case 2^d·(d+2)·q.
+        assert!(
+            s.cell_reads > 0 && s.cell_reads <= 16 * 48,
+            "{}",
+            s.cell_reads
+        );
+    }
+
+    #[test]
+    fn query_many_rejects_bad_region() {
+        let e = RpsEngine::<i64>::zeros(&[10, 10]).unwrap();
+        let mut regions = vec![Region::new(&[0, 0], &[5, 5]).unwrap(); 20];
+        regions.push(Region::new(&[0, 0], &[10, 10]).unwrap()); // out of bounds
+        assert!(e.query_many(&regions).is_err());
     }
 
     #[test]

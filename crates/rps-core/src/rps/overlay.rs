@@ -217,8 +217,8 @@ impl<T: GroupValue> Overlay<T> {
     }
 
     /// The offset table and the mutable flat cell buffer together, for the
-    /// update walks: the offset table stays readable while cell slices are
-    /// handed out (and split across threads by the parallel batch path).
+    /// update walks: the offset table stays readable while the cells are
+    /// written.
     #[inline]
     pub(crate) fn parts_mut(&mut self) -> (&[usize], &mut [T]) {
         (&self.box_offsets, &mut self.cells)

@@ -7,13 +7,13 @@
 //! or a buffer pool whose reads can fail (`rps-storage`'s
 //! `DiskRpsEngine`) — so each supplies a [`PrefixSource`] and this module
 //! answers single regions ([`range_sum`]) and corner-cached batches
-//! ([`range_sums`], serial or split into thread shards).
+//! ([`range_sums`]).
 //!
 //! The batch path alone decides the cache key (the corner's linear cell
 //! index), the cache bound (`min(regions · 2^d, cells in the cube)`, so
 //! no request can size a table beyond the cube) and the counts it
-//! reports: `rps_engine_queries_total` under the source's `engine` label,
-//! the `query_many` corner hits and misses, and the parallel shards.
+//! reports: `rps_engine_queries_total` under the source's `engine` label
+//! and the `query_many` corner hits and misses.
 
 use std::collections::HashMap;
 
@@ -21,7 +21,6 @@ use ndcube::{NdError, Region, Shape};
 
 use crate::corners::range_sum_from_prefix_with;
 use crate::obs::EngineKind;
-use crate::rps::parallel::effective_threads;
 use crate::rps::scratch::{with_scratch, KernelScratch, Scratch};
 use crate::stats::StatsCell;
 use crate::value::GroupValue;
@@ -88,80 +87,20 @@ pub fn range_sums<T: GroupValue, S: PrefixSource<T>>(
     src: &S,
     regions: &[Region],
 ) -> Result<Vec<T>, NdError> {
-    check_batch(src, regions)?;
-    // lint:allow(L5): the batch's output, one allocation per batch
-    let mut out = vec![T::zero(); regions.len()];
-    with_scratch(|s| eval_batch(src, regions, &mut out, s))?;
-    Ok(out)
-}
-
-/// [`range_sums`] split into up to `threads` scoped worker shards, each
-/// with its own [`Scratch`] and corner cache; workers share nothing
-/// mutable, and the answers are bit-identical to [`range_sums`].
-///
-/// The thread count is first clamped to the host's available parallelism
-/// (`effective_threads`): query shards are pure CPU, so more workers than
-/// cores only add scheduling. One thread, or fewer than two regions per
-/// thread, runs [`range_sums`], which shares corners across the whole
-/// batch rather than per shard.
-pub(crate) fn range_sums_parallel<T, S>(
-    src: &S,
-    regions: &[Region],
-    threads: usize,
-) -> Result<Vec<T>, NdError>
-where
-    T: GroupValue,
-    S: PrefixSource<T> + Sync,
-{
-    // Unit-test and loom builds skip the host clamp so the shard path
-    // stays exercised on 1-CPU hosts.
-    let threads = if cfg!(any(test, loom)) {
-        threads.max(1)
-    } else {
-        effective_threads(threads)
-    };
-    if threads == 1 || regions.len() < threads.saturating_mul(2) {
-        return range_sums(src, regions);
-    }
-    check_batch(src, regions)?;
-    let shard = regions.len().div_ceil(threads);
-    // lint:allow(L5): the batch's output, one allocation per batch
-    let mut out = vec![T::zero(); regions.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = out
-            .chunks_mut(shard)
-            .zip(regions.chunks(shard))
-            .map(|(out, regions)| {
-                scope.spawn(move || eval_batch(src, regions, out, &mut Scratch::new()))
-            })
-            .collect();
-        crate::obs::core()
-            .parallel_query_shards
-            .add(u64::try_from(workers.len()).unwrap_or(u64::MAX));
-        workers
-            .into_iter()
-            // lint:allow(L2): a worker panic is already a bug; propagate it
-            .try_for_each(|worker| worker.join().expect("parallel query worker panicked"))
-    })?;
-    Ok(out)
-}
-
-/// Checks every region before any work, then counts the batch's queries.
-fn check_batch<T: GroupValue, S: PrefixSource<T>>(
-    src: &S,
-    regions: &[Region],
-) -> Result<(), NdError> {
     for r in regions {
         src.bounds().check_region(r)?;
     }
     crate::obs::engine(S::KIND)
         .queries
         .add(u64::try_from(regions.len()).unwrap_or(u64::MAX));
-    Ok(())
+    // lint:allow(L5): the batch's output, one allocation per batch
+    let mut out = vec![T::zero(); regions.len()];
+    with_scratch(|s| eval_batch(src, regions, &mut out, s))?;
+    Ok(out)
 }
 
-/// The corner-cached evaluation behind every batch and shard: fills `out`
-/// with the sums of `regions`, rebuilding each distinct corner once, then
+/// The corner-cached evaluation behind [`range_sums`]: fills `out` with
+/// the sums of `regions`, rebuilding each distinct corner once, then
 /// reports its counts with one add per counter, none per corner.
 ///
 /// The key is the corner's linear cell index: corners reach the callback

@@ -24,9 +24,9 @@
 //! The `_with` kernels take a [`KernelScratch`] and perform **zero heap
 //! allocations**; the scratch-free functions are compatibility wrappers
 //! that borrow the thread-local workspace. The orthant walk itself lives
-//! in `overlay_update_walk`, parameterized by a dim-0 box-row range so the
-//! parallel batch path (`rps::parallel`) can partition the same walk into
-//! disjoint slabs.
+//! in `overlay_update_walk`, parameterized by a dim-0 box-row range so
+//! [`crate::VersionedEngine`] can run it once per copy-on-write box-row
+//! granule.
 //!
 //! **Range updates** (`+δ` over every cell of a region `R = [lo, hi]`)
 //! generalize the same classification by *counting* instead of testing:
@@ -171,9 +171,9 @@ pub fn apply_overlay_update_with<T: GroupValue>(
 /// at flat overlay index `base`.
 ///
 /// With `base = 0` and the full row range this **is** the overlay update;
-/// the parallel batch path hands each worker thread a disjoint
-/// `(base, row range, cells slice)` triple so all threads can walk the
-/// same update without write overlap. Returns cells written.
+/// the versioned engine walks one box row at a time, handing in that
+/// row's granule as `cells` with its flat start as `base`. Returns cells
+/// written.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn overlay_update_walk<T: GroupValue>(
     grid: &BoxGrid,

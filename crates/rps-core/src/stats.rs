@@ -147,9 +147,9 @@ impl StatsCell {
         self.updates.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` answered queries in one add — the parallel query
-    /// front-end merges shard-local counts on join instead of touching
-    /// the shared counter once per query.
+    /// Records `n` answered queries in one add — a `query_many` batch
+    /// counts once instead of touching the shared counter once per
+    /// query.
     #[inline]
     pub fn queries_n(&self, n: u64) {
         self.queries.fetch_add(n, Ordering::Relaxed);

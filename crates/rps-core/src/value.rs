@@ -12,8 +12,9 @@ use std::num::Wrapping;
 /// A commutative group: associative, commutative ⊕ with identity and
 /// inverse. All engines in this crate are generic over it.
 ///
-/// `Send + Sync` are supertraits because the engines shard batch
-/// updates, builds and batch queries across scoped worker threads.
+/// `Send + Sync` are supertraits because the concurrent wrappers
+/// ([`crate::SharedEngine`], [`crate::VersionedEngine`]) serve one
+/// engine's cells to reader threads.
 ///
 /// Laws (checked by property tests in `tests/value_laws.rs`):
 /// * `a ⊕ zero = a`

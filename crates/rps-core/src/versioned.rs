@@ -3,9 +3,8 @@
 //! deployment.
 //!
 //! [`crate::SharedEngine`] serializes every reader against the writer
-//! with one `RwLock`; a single update stalls a whole
-//! `query_many_parallel` batch. [`VersionedEngine`] takes the update
-//! work off the read path:
+//! with one `RwLock`; a single update stalls a whole `query_many`
+//! batch. [`VersionedEngine`] takes the update work off the read path:
 //!
 //! * The **writer** owns the RPS structures chunked into copy-on-write
 //!   *granules* (`Arc<[T]>`): one per RPS box for the RP array and one
@@ -16,9 +15,8 @@
 //!   only the boxes it wrote and the overlay box rows its orthant walk
 //!   reached; every other granule is shared with earlier versions.
 //! * **Readers** take a [`VersionedEngine::snapshot`] and run
-//!   [`Version::query`] / [`Version::query_many`] /
-//!   [`Version::query_many_parallel`] against it. A held snapshot never
-//!   changes and is never freed under its reader.
+//!   [`Version::query`] / [`Version::query_many`] against it. A held
+//!   snapshot never changes and is never freed under its reader.
 //!
 //! # Publication
 //!
@@ -41,8 +39,7 @@ use crate::engine::RangeSumEngine;
 use crate::obs::EngineKind;
 use crate::rps::{
     kernels, overlay_prefix_part_src, overlay_range_walk, overlay_update_walk, range_sum,
-    range_sums, range_sums_parallel, rp_range_box, BoxGrid, KernelScratch, OverlaySource,
-    PrefixSource, RpsEngine,
+    range_sums, rp_range_box, BoxGrid, KernelScratch, OverlaySource, PrefixSource, RpsEngine,
 };
 use crate::stats::CostStats;
 use crate::value::GroupValue;
@@ -236,22 +233,6 @@ impl<T: GroupValue> PrefixSource<T> for Version<T> {
         let (mut acc, reads) = overlay_prefix_part_src(&self.data.grid, &self.data, x, ks);
         acc.add_assign(self.data.rp_cell(ks));
         Ok((acc, reads + 1))
-    }
-}
-
-impl<T: GroupValue> Version<T> {
-    /// Answers a batch of range queries sharded across up to `threads`
-    /// scoped worker threads, like
-    /// [`RpsEngine::query_many_parallel`] — but against an immutable
-    /// version, so the whole batch observes one snapshot *without any
-    /// lock hold at all*. Results are bit-identical to
-    /// [`Version::query_many`].
-    pub fn query_many_parallel(
-        &self,
-        regions: &[Region],
-        threads: usize,
-    ) -> Result<Vec<T>, NdError> {
-        range_sums_parallel(self, regions, threads)
     }
 }
 
@@ -705,26 +686,6 @@ impl<T: GroupValue> VersionedEngine<T> {
     }
 }
 
-impl<T: GroupValue> VersionedEngine<T> {
-    /// One-shot sharded batch query against the current version. The
-    /// writer is never blocked: the batch runs against an immutable
-    /// snapshot while updates continue to publish.
-    pub fn query_many_parallel(
-        &self,
-        regions: &[Region],
-        threads: usize,
-    ) -> Result<Vec<T>, NdError> {
-        let out = self.snapshot().query_many_parallel(regions, threads);
-        if out.is_ok() {
-            self.inner.queries.fetch_add(
-                u64::try_from(regions.len()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
-        }
-        out
-    }
-}
-
 /// The common engine interface, delegating to the inherent methods: every
 /// write call publishes exactly one version, and
 /// [`RangeSumEngine::update_batch`] is [`VersionedEngine::apply_batch`],
@@ -926,9 +887,7 @@ mod tests {
         let snap = v.snapshot();
         let one_by_one: Vec<i64> = regions.iter().map(|r| snap.query(r).unwrap()).collect();
         assert_eq!(snap.query_many(&regions).unwrap(), one_by_one);
-        assert_eq!(snap.query_many_parallel(&regions, 4).unwrap(), one_by_one);
         assert_eq!(v.query_many(&regions).unwrap(), one_by_one);
-        assert_eq!(v.query_many_parallel(&regions, 4).unwrap(), one_by_one);
     }
 
     #[test]

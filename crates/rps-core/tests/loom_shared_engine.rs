@@ -148,20 +148,17 @@ fn op_counters_exact_after_join() {
     });
 }
 
-/// A whole parallel batch runs under ONE shared-lock hold
-/// ([`SharedEngine::query_many_parallel`]), so a racing update must be
-/// invisible to the entire batch or visible to the entire batch — the
-/// shards may interleave freely with each other, but never with the
-/// writer. Any mixed answer vector means a shard re-read the engine
-/// after the lock was released.
+/// A whole batch runs under ONE shared-lock hold
+/// ([`SharedEngine::query_many`]), so a racing update must be invisible
+/// to the entire batch or visible to the entire batch. Any mixed answer
+/// vector means a region was read after the lock was released.
 #[test]
-fn parallel_batch_queries_see_one_snapshot() {
+fn batch_queries_see_one_snapshot() {
     loom::model(|| {
         let shared = SharedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
         let full = Region::new(&[0, 0], &[3, 3]).unwrap();
-        // 8 identical full-cube regions across 2 shards: enough to beat
-        // the serial fall-back (len >= 2 * threads) while keeping the
-        // schedule space small.
+        // 8 identical full-cube regions: one corner each, so the batch
+        // is short while keeping the schedule space small.
         let regions: Vec<Region> = (0..8).map(|_| full.clone()).collect();
 
         let writer = {
@@ -170,7 +167,7 @@ fn parallel_batch_queries_see_one_snapshot() {
                 shared.update(&[1, 1], 7).unwrap();
             })
         };
-        let answers = shared.query_many_parallel::<i64>(&regions, 2).unwrap();
+        let answers = shared.query_many::<i64>(&regions).unwrap();
         let first = answers[0];
         assert!(
             first == 0 || first == 7,
@@ -178,19 +175,18 @@ fn parallel_batch_queries_see_one_snapshot() {
         );
         assert!(
             answers.iter().all(|&a| a == first),
-            "shards disagree within one lock hold: {answers:?}"
+            "regions disagree within one lock hold: {answers:?}"
         );
         writer.join().unwrap();
         assert_eq!(shared.total(), 7);
     });
 }
 
-/// Shard-local stats/obs counters merge into the shared atomics once,
-/// on join — not per shard, not per query. Two concurrent batches of
-/// 12 regions each must bump the handle's query counter by exactly 24
-/// regardless of how the four worker shards interleave.
+/// A batch's queries reach the handle's atomic counter in one add per
+/// batch. Two concurrent batches of 12 regions each must bump it by
+/// exactly 24 however the two readers interleave.
 #[test]
-fn parallel_query_stats_merge_once_on_join() {
+fn batch_query_stats_count_each_region_once() {
     loom::model(|| {
         let shared = SharedEngine::new(RpsEngine::<i64>::zeros(&[4, 4]).unwrap());
         let regions: Vec<Region> = (0..12)
@@ -201,7 +197,7 @@ fn parallel_query_stats_merge_once_on_join() {
                 let shared = shared.clone();
                 let regions = regions.clone();
                 loom::thread::spawn(move || {
-                    let answers = shared.query_many_parallel::<i64>(&regions, 2).unwrap();
+                    let answers = shared.query_many::<i64>(&regions).unwrap();
                     assert!(answers.iter().all(|&a| a == 0));
                 })
             })
@@ -209,10 +205,6 @@ fn parallel_query_stats_merge_once_on_join() {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(
-            shared.query_count(),
-            24,
-            "each region counted exactly once on join"
-        );
+        assert_eq!(shared.query_count(), 24, "each region counted exactly once");
     });
 }

@@ -326,13 +326,9 @@ impl<T: GroupValue + Default, S: PageStore<T>> DiskRpsEngine<T, S> {
 
     /// Answers a batch of range-sum queries with a shared corner cache,
     /// through the same batch path as [`rps_core::RpsEngine::query_many`]
-    /// ([`range_sums`]).
-    ///
-    /// Serial by design: the buffer pool's `RefCell` makes this engine
-    /// `!Sync`, so the sharded `query_many_parallel` front-end cannot fan
-    /// a disk engine out across threads. The corner cache still pays off
-    /// here — adjacent dashboard panels share corners, and every cache hit
-    /// saves a buffer-pool probe (potentially a page fault).
+    /// ([`range_sums`]). Adjacent dashboard panels share corners, and
+    /// every cache hit saves a buffer-pool probe (potentially a page
+    /// fault).
     pub fn query_many(&self, regions: &[Region]) -> Result<Vec<T>, NdError> {
         range_sums(self, regions)
     }

@@ -2,7 +2,7 @@
 //! one query path: `rps_engine_queries_total` moves by the regions
 //! answered, and the `query_many` corner hits plus misses by the corner
 //! lookups made — for the flat arrays, the versioned snapshot and the
-//! disk engine alike, serial or sharded.
+//! disk engine alike.
 //!
 //! The test lives alone in its own integration binary because the
 //! counters are process-global: a sibling `#[test]` running queries on
@@ -55,13 +55,6 @@ fn every_storage_counts_queries_and_corner_lookups() {
     });
     check("DiskRpsEngine::query_many", disk_kind, batch, &|| {
         disk.query_many(&regions).unwrap()
-    });
-    // Sharded batches report the same totals, whatever the host's cores.
-    check("RpsEngine::query_many_parallel", rps, batch, &|| {
-        engine.query_many_parallel(&regions, 2).unwrap()
-    });
-    check("Version::query_many_parallel", rps, batch, &|| {
-        snap.query_many_parallel(&regions, 2).unwrap()
     });
     // A single region counts one query and no corner-cache lookups.
     check("Version::query", rps, (1, 0), &|| {

@@ -6,7 +6,8 @@ use std::path::{Path, PathBuf};
 
 use xtask::lints::{
     check_l1, check_l2, check_l3_crate_root, check_l3_manifest, check_l4, check_l5, check_l6,
-    run_workspace, Finding, Lint, L1_ALLOWED_MODULES, L2_LIBRARY_SRC, L5_HOT_PATH_MODULES,
+    run_workspace, rust_files, Finding, Lint, EXPECT_MESSAGE_ALLOWLIST, L1_ALLOWED_MODULES,
+    L2_LIBRARY_SRC, L3_CRATE_ROOTS, L5_HOT_PATH_MODULES,
 };
 
 fn fixture(name: &str) -> String {
@@ -188,17 +189,62 @@ fn allow_escape_without_reason_is_rejected() {
     assert!(found[0].message.contains("without a reason"));
 }
 
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/xtask has a workspace root two levels up")
+        .to_path_buf()
+}
+
+/// The lint scopes name no file that is gone and allow no `expect`
+/// message that no library code uses. A scope entry outlives its file
+/// silently: `run_workspace` skips a missing L5 or L3 file without a
+/// finding, so a renamed hot-path module would drop out of the
+/// allocation lint unnoticed.
+#[test]
+fn lint_scopes_have_no_stale_entries() {
+    let root = workspace_root();
+    let missing: Vec<&str> = L1_ALLOWED_MODULES
+        .iter()
+        .chain(L5_HOT_PATH_MODULES)
+        .chain(L3_CRATE_ROOTS)
+        .copied()
+        .filter(|file| !root.join(file).is_file())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "lint scopes name missing files: {missing:?}"
+    );
+
+    let mut files = Vec::new();
+    for dir in L2_LIBRARY_SRC {
+        rust_files(&root.join(dir), &mut files).expect("library sources are readable");
+    }
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("readable source"))
+        .collect();
+    let unused: Vec<&str> = EXPECT_MESSAGE_ALLOWLIST
+        .iter()
+        .copied()
+        .filter(|msg| {
+            let literal = format!("\"{msg}\"");
+            !sources.iter().any(|src| src.contains(&literal))
+        })
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "allowlisted expect messages no library source uses: {unused:?}"
+    );
+}
+
 /// The acceptance criterion: `cargo xtask lint` passes on the real
 /// workspace. Running the driver in-process keeps the gate inside
 /// `cargo test`, so tier-1 itself fails if a violation lands.
 #[test]
 fn real_workspace_is_lint_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/xtask has a workspace root two levels up")
-        .to_path_buf();
-    let findings = run_workspace(&root, None).expect("workspace scan");
+    let findings = run_workspace(&workspace_root(), None).expect("workspace scan");
     assert!(
         findings.is_empty(),
         "workspace has lint findings:\n{}",

@@ -22,9 +22,9 @@ fn main() {
     const DAYS: usize = 365;
     let mut scenario = SalesScenario::new(AGES, DAYS, 99);
 
-    // Day 0: initial load, built in parallel, persisted.
+    // Day 0: initial load, built and persisted.
     let base = scenario.base_cube();
-    let mut engine = RpsEngine::from_cube_parallel(&base, 4);
+    let mut engine = RpsEngine::from_cube(&base);
     let mut store = snapshot(&engine);
     println!(
         "initial load: {} cells, box size {:?}, snapshot {} bytes",

@@ -16,9 +16,7 @@ BINS=(
   exp_batch_updates
   exp_skew_sensitivity
   exp_dimensionality
-  exp_parallel_build
   exp_query_many
-  exp_parallel_query
   exp_mixed_readwrite
 )
 

@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
-# Runs the concurrency-sensitive tests under ThreadSanitizer: the
-# parallel RP/P build sweeps (scoped threads over split_at_mut slabs —
-# including the non-aligned slab geometries the property tests
-# generate), the sharded query_many_parallel front-end, SharedEngine's
-# readers–writer paths, the buffered engine's flush, and the
-# versioned engine's publish/snapshot swap (module tests plus the
-# snapshot property suite). Needs a nightly
+# Runs the concurrency-sensitive tests under ThreadSanitizer:
+# SharedEngine's readers–writer paths (its one-lock-hold query_many
+# batch included), the buffered engine's flush, and the versioned
+# engine's publish/snapshot swap (module tests plus the snapshot
+# property suite). Needs a nightly
 # toolchain with rust-src (TSan requires rebuilding std with
 # instrumentation):
 #
@@ -25,7 +23,7 @@ TARGET="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 # Unit tests of the concurrent modules (including versioned::'s
 # publish/snapshot swap), then the integration suites that exercise
 # them at full size.
-cargo +nightly test -Z build-std --target "$TARGET" -p rps-core \
-    concurrent:: parallel:: buffered:: versioned:: query_many_parallel "$@"
+cargo +nightly test -Z build-std --target "$TARGET" -p rps-core "$@" \
+    -- concurrent:: buffered:: versioned::
 exec cargo +nightly test -Z build-std --target "$TARGET" -p rps-core \
     --test versioned_props "$@"
