@@ -21,11 +21,14 @@
 //! geometry: small batches applied one update at a time on the serial
 //! engine and as one published version each on `VersionedEngine`, with
 //! the bytes each publish copies on write.
-
-use std::time::Instant;
+//!
+//! Both timed tables go through [`rps_bench::measure`]: each pass runs on
+//! a fresh copy of the engine, built outside the timer, and a row
+//! reports the median with p10 and p90.
 
 use ndcube::{NdCube, Region};
 use rps_analysis::Table;
+use rps_bench::measure::{measure_with, Measurement, REPEATS};
 use rps_core::{BufferedEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen};
 
@@ -143,7 +146,7 @@ fn wal_tail_replay(cube: &NdCube<i64>, k: usize) {
     let dims = cube.shape().dims();
     let side: Vec<String> = dims.iter().map(ToString::to_string).collect();
     println!(
-        "\n=== WAL tail replay, {} cube, k = {k}, {TAIL} points, {REPEATS} runs each ===\n",
+        "\n=== WAL tail replay, {} cube, k = {k}, {TAIL} points, {REPEATS} timed passes each ===\n",
         side.join("×")
     );
     let tail: Vec<(Vec<usize>, i64)> = UpdateGen::uniform(dims, 7, 101)
@@ -153,56 +156,51 @@ fn wal_tail_replay(cube: &NdCube<i64>, k: usize) {
         .map(|(c, d)| (c, d - 51))
         .collect();
     let base = RpsEngine::from_cube_uniform(cube, k).unwrap();
-    let (loop_ns, loop_writes, loop_cube) = time_replay(&base, |e| {
+    let (loop_m, loop_writes, loop_cube) = time_replay(&base, |e| {
         for (c, d) in &tail {
             e.update(c, *d).unwrap();
         }
     });
-    let (batch_ns, batch_writes, batch_cube) =
+    let (batch_m, batch_writes, batch_cube) =
         time_replay(&base, |e| e.update_batch(&tail).unwrap());
     assert_eq!(loop_cube, batch_cube, "both replays must leave one cube");
     assert!(
         batch_writes < loop_writes,
         "update_batch wrote {batch_writes} cells, the per-record loop {loop_writes}"
     );
-    let mut rtable = Table::new(&["replay", "median ns", "min–max ns", "cells written"]);
-    for (name, ns, writes) in [
-        ("one update per record", &loop_ns, loop_writes),
-        ("one update_batch", &batch_ns, batch_writes),
+    let mut rtable = Table::new(&["replay", "median ns", "p10–p90 ns", "cells written"]);
+    for (name, m, writes) in [
+        ("one update per record", &loop_m, loop_writes),
+        ("one update_batch", &batch_m, batch_writes),
     ] {
-        rtable.row(&[
-            name.to_string(),
-            ns[REPEATS / 2].to_string(),
-            format!("{}–{}", ns[0], ns[REPEATS - 1]),
-            writes.to_string(),
-        ]);
+        rtable.row(&spread_row(name, m, writes.to_string()));
     }
     print!("{}", rtable.render());
 }
 
-/// Timed runs per replay strategy and per publish-table row.
-const REPEATS: usize = 7;
+/// A table row: the name, the median, p10–p90, and a last column.
+fn spread_row(name: &str, m: &Measurement, last: String) -> [String; 4] {
+    [
+        name.to_string(),
+        format!("{:.0}", m.ns.median),
+        format!("{:.0}–{:.0}", m.ns.p10, m.ns.p90),
+        last,
+    ]
+}
 
-/// Replays onto a fresh copy of `base` `REPEATS` times. Returns the
-/// sorted wall times in ns, the cells one replay wrote, and the cube
-/// it left.
+/// Times one replay per pass, each onto a fresh copy of `base`. Returns
+/// the row, the cells one replay wrote, and the cube it left.
 fn time_replay(
     base: &RpsEngine<i64>,
     replay: impl Fn(&mut RpsEngine<i64>),
-) -> (Vec<u128>, u64, NdCube<i64>) {
-    let mut times = Vec::with_capacity(REPEATS);
-    let mut last = None;
-    for _ in 0..REPEATS {
-        let mut e = base.clone();
-        let before = e.stats().cell_writes;
-        let t = Instant::now();
-        replay(&mut e);
-        times.push(t.elapsed().as_nanos());
-        last = Some((e.stats().cell_writes - before, e));
-    }
-    times.sort_unstable();
-    let (writes, e) = last.expect("REPEATS > 0");
-    (times, writes, e.to_cube())
+) -> (Measurement, u64, NdCube<i64>) {
+    let fresh = || {
+        let e = base.clone();
+        e.reset_stats();
+        e
+    };
+    let (m, e) = measure_with(REPEATS, 1, 1, fresh, replay);
+    (m, e.stats().cell_writes, e.to_cube())
 }
 
 /// A served `dashboard` tenant's writes: batches of 4 points, deltas
@@ -215,11 +213,12 @@ fn versioned_publish() {
     const SIDE: usize = 1024;
     const K: usize = 32;
     const BATCH: usize = 4;
-    const BATCHES: usize = 2_000;
+    // Batches a pass: the passes time about 14,000 in all.
+    const BATCHES: usize = 1_280;
     let dims = [SIDE, SIDE];
     println!(
         "\n=== versioned publish, {SIDE}×{SIDE} zero cube, k = {K}, \
-         {BATCHES} batches of {BATCH} points, {REPEATS} runs each ===\n"
+         {BATCHES} batches of {BATCH} points a pass, {REPEATS} timed passes each ===\n"
     );
     let updates = UpdateGen::uniform(&dims, 11, 9).take(BATCHES * BATCH);
     let total: i64 = updates.iter().map(|(_, d)| d).sum();
@@ -230,75 +229,74 @@ fn versioned_publish() {
     let overlay_bytes = (base.storage_cells() - SIDE * SIDE) * cell;
     let bound = u64::try_from(BATCH * K * K * cell + overlay_bytes).unwrap();
 
-    let mut serial_ns = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        let mut e = base.clone();
-        let t = Instant::now();
-        for batch in updates.chunks(BATCH) {
-            for (c, d) in batch {
-                e.update(c, *d).unwrap();
+    // One op is one batch; each pass applies all of them to a fresh copy.
+    let (serial, _) = measure_with(
+        REPEATS,
+        1,
+        BATCHES,
+        || base.clone(),
+        |e| {
+            for batch in updates.chunks(BATCH) {
+                for (c, d) in batch {
+                    e.update(c, *d).unwrap();
+                }
             }
-        }
-        serial_ns.push(t.elapsed().as_nanos() / BATCHES as u128);
-        assert_eq!(e.query(&full).unwrap(), total, "serial total");
-    }
+            assert_eq!(e.query(&full).unwrap(), total, "serial total");
+        },
+    );
 
     let cow_bytes = &rps_core::obs::snapshot().cow_bytes;
-    let mut versioned_ns = Vec::with_capacity(REPEATS);
     let (mut copied, mut most) = (0u64, 0u64);
-    for _ in 0..REPEATS {
-        let v = VersionedEngine::new(base.clone());
-        copied = 0;
-        let t = Instant::now();
-        for batch in updates.chunks(BATCH) {
-            let before = cow_bytes.get();
-            v.apply_batch(batch).unwrap();
-            let bytes = cow_bytes.get() - before;
-            copied += bytes;
-            most = most.max(bytes);
-        }
-        versioned_ns.push(t.elapsed().as_nanos() / BATCHES as u128);
-        assert_eq!(v.query(&full).unwrap(), total, "versioned total");
-    }
+    let (versioned, _) = measure_with(
+        REPEATS,
+        1,
+        BATCHES,
+        || VersionedEngine::new(base.clone()),
+        |v| {
+            copied = 0;
+            for batch in updates.chunks(BATCH) {
+                let before = cow_bytes.get();
+                v.apply_batch(batch).unwrap();
+                let bytes = cow_bytes.get() - before;
+                copied += bytes;
+                most = most.max(bytes);
+            }
+            assert_eq!(v.query(&full).unwrap(), total, "versioned total");
+        },
+    );
     assert!(
         most <= bound,
         "a batch copied {most} B, over 4·k²·8 B of RP boxes plus the overlay's \
          {overlay_bytes} B = {bound} B"
     );
 
-    let mut new_ns = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        let e = zero();
-        let t = Instant::now();
-        let v = VersionedEngine::new(e);
-        new_ns.push(t.elapsed().as_nanos());
-        drop(v);
-    }
+    // The engine built lands in the pass's state, so its drop stays
+    // outside the timer.
+    let (new, _) = measure_with(
+        REPEATS,
+        1,
+        1,
+        || (Some(zero()), None),
+        |(e, v)| *v = Some(VersionedEngine::new(e.take().expect("one call a pass"))),
+    );
 
-    let mut ptable = Table::new(&["path", "median ns", "min–max ns", "bytes copied"]);
+    let mut ptable = Table::new(&["path", "median ns", "p10–p90 ns", "bytes copied"]);
     let per_batch = copied / BATCHES as u64;
-    let rows = [
-        (
-            "RpsEngine::update ×4, per batch",
-            serial_ns,
-            "—".to_string(),
-        ),
-        (
-            "VersionedEngine::apply_batch, per batch",
-            versioned_ns,
-            format!("{per_batch} (max {most})"),
-        ),
-        ("VersionedEngine::new, zero 1024²", new_ns, "—".to_string()),
-    ];
-    for (name, mut ns, bytes) in rows {
-        ns.sort_unstable();
-        ptable.row(&[
-            name.to_string(),
-            ns[REPEATS / 2].to_string(),
-            format!("{}–{}", ns[0], ns[REPEATS - 1]),
-            bytes,
-        ]);
-    }
+    ptable.row(&spread_row(
+        "RpsEngine::update ×4, per batch",
+        &serial,
+        "—".to_string(),
+    ));
+    ptable.row(&spread_row(
+        "VersionedEngine::apply_batch, per batch",
+        &versioned,
+        format!("{per_batch} (max {most})"),
+    ));
+    ptable.row(&spread_row(
+        "VersionedEngine::new, zero 1024²",
+        &new,
+        "—".to_string(),
+    ));
     print!("{}", ptable.render());
     println!("bound per batch: {bound} B (4·k²·8 B of RP boxes + {overlay_bytes} B of overlay)");
 }

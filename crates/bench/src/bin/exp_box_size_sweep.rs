@@ -3,11 +3,19 @@
 //! Sweeps the box side k for fixed n and d, measuring the worst-case
 //! update cost (cells written) and comparing it with the paper's formula
 //! `(k−1)^d + d·(n/k)·k^{d−1} + (n/k−1)^d`. Verifies the measured minimum
-//! falls at k ≈ √n, the paper's headline tuning result.
+//! falls at k ≈ √n, the paper's headline tuning result. Next to the
+//! counts stands the wall-clock time of a uniform point update per k,
+//! timed through [`rps_bench::measure`] (median and p10–p90 of its
+//! passes): the same U shape in nanoseconds.
 
 use ndcube::NdCube;
 use rps_analysis::{cost_model, Table};
+use rps_bench::measure::{measure, REPEATS};
 use rps_core::{RangeSumEngine, RpsEngine};
+use rps_workload::UpdateGen;
+
+/// Timed uniform updates per pass.
+const CALLS: usize = 16;
 
 /// Worst measured update cost over a set of adversarial positions.
 fn worst_update_cost(cube: &NdCube<i64>, k: usize) -> u64 {
@@ -30,7 +38,7 @@ fn worst_update_cost(cube: &NdCube<i64>, k: usize) -> u64 {
 }
 
 fn sweep(n: usize, d: u32) {
-    println!("=== E8: box-size sweep, n = {n}, d = {d} ===\n");
+    println!("=== E8: box-size sweep, n = {n}, d = {d}; {REPEATS} timed passes ===\n");
     let dims = vec![n; d as usize];
     let cube = NdCube::from_fn(&dims, |c| (c.iter().sum::<usize>() % 10) as i64).unwrap();
 
@@ -39,7 +47,9 @@ fn sweep(n: usize, d: u32) {
         "measured worst update",
         "formula",
         "storage overhead %",
+        "ns/update (uniform)",
     ]);
+    let updates = UpdateGen::uniform(&dims, 17, 50).take(CALLS);
     let ks: Vec<usize> = {
         let mut v = vec![];
         let mut k = 2;
@@ -59,11 +69,18 @@ fn sweep(n: usize, d: u32) {
         if measured < best.1 {
             best = (k, measured);
         }
+        let mut engine = RpsEngine::from_cube_uniform(&cube, k).unwrap();
+        let mut ui = updates.iter().cycle();
+        let update = measure(REPEATS, CALLS, || {
+            let (c, d) = ui.next().expect("cycle");
+            engine.update(c, *d).unwrap();
+        });
         table.row(&[
             k.to_string(),
             measured.to_string(),
             format!("{formula:.0}"),
             format!("{overhead:.1}"),
+            update.ns.to_string(),
         ]);
     }
     print!("{}", table.render());

@@ -7,10 +7,17 @@
 //! worst-case query reads, update writes, and the query·update product
 //! per method — showing RPS's O(n^{d/2}) advantage survives across
 //! dimensionalities, not just at the d = 2 the worked examples use.
+//! Each count stands next to the wall-clock time of the same query or
+//! update, timed through [`rps_bench::measure`] as the median (p10–p90)
+//! of its passes.
 
 use ndcube::{NdCube, Region};
 use rps_analysis::{loglog_slope, Table};
+use rps_bench::measure::{measure, REPEATS};
 use rps_core::{FenwickEngine, NaiveEngine, PrefixSumEngine, RangeSumEngine, RpsEngine};
+
+/// Timed calls per pass of the query and update columns.
+const CALLS: usize = 16;
 
 fn main() {
     // Two regimes: fixed total size N ≈ 4096 (so higher d means tiny n),
@@ -25,13 +32,18 @@ fn main() {
         (4, 24),
     ];
 
-    println!("=== dimensionality sweep (k = ⌈√n⌉ per dimension) ===\n");
+    println!(
+        "=== dimensionality sweep (k = ⌈√n⌉ per dimension); times are the \
+         median (p10–p90) of {REPEATS} passes ===\n"
+    );
     let mut table = Table::new(&[
         "d",
         "n",
         "method",
         "query reads",
+        "ns/query",
         "update writes",
+        "ns/update",
         "q·u product",
     ]);
 
@@ -68,12 +80,16 @@ fn main() {
             e.update(&update_pos, 1).unwrap();
             let u = e.stats().cell_writes.max(1);
             products.push((e.name(), q * u));
+            let query = measure(REPEATS, CALLS, || e.query(&region).unwrap());
+            let update = measure(REPEATS, CALLS, || e.update(&update_pos, 1).unwrap());
             table.row(&[
                 d.to_string(),
                 n.to_string(),
                 e.name().to_string(),
                 q.to_string(),
+                query.ns.to_string(),
                 u.to_string(),
+                update.ns.to_string(),
                 (q * u).to_string(),
             ]);
         }
@@ -96,6 +112,20 @@ fn main() {
     }
     print!("{}", table.render());
 
+    update_exponent_d3();
+
+    println!(
+        "\nfindings: (1) at d = 2 — the paper's demonstrated case — every\n\
+         claim reproduces exactly; (2) at d ≥ 3, with the paper's own value\n\
+         definitions, the worst-case update is Θ(n^(d−1)): better than the\n\
+         baselines' Θ(n^d) product but short of the O(n^{{d/2}}) headline,\n\
+         whose derivation counts only the 2-D-style border 'arms'; and (3)\n\
+         at fixed total size, the 4^d query constant also erodes the gap\n\
+         for tiny per-dimension sizes. See DESIGN.md / docs/ALGORITHMS.md."
+    );
+}
+
+fn update_exponent_d3() {
     // The d ≥ 3 finding: with the paper-faithful stored values, the
     // worst-case update scales as n^{d−1}, not the n^{d/2} the paper's
     // §4.3 formula (derived from the d = 2 picture) suggests — mixed
@@ -119,14 +149,4 @@ fn main() {
     println!("\nfitted exponent: {slope:.2} (≈ d − 1 = 2, not d/2 = 1.5)");
     assert!(slope > 1.6, "update slope {slope} unexpectedly small");
     assert!(slope < 2.5, "update slope {slope} unexpectedly large");
-
-    println!(
-        "\nfindings: (1) at d = 2 — the paper's demonstrated case — every\n\
-         claim reproduces exactly; (2) at d ≥ 3, with the paper's own value\n\
-         definitions, the worst-case update is Θ(n^(d−1)): better than the\n\
-         baselines' Θ(n^d) product but short of the O(n^{{d/2}}) headline,\n\
-         whose derivation counts only the 2-D-style border 'arms'; and (3)\n\
-         at fixed total size, the 4^d query constant also erodes the gap\n\
-         for tiny per-dimension sizes. See DESIGN.md / docs/ALGORITHMS.md."
-    );
 }

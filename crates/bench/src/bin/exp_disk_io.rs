@@ -6,15 +6,38 @@
 //! box sizes. The paper's prediction: with box alignment, "both queries
 //! and updates will then require only a constant number of disk reads or
 //! writes."
+//!
+//! A last table times the same engine's queries and updates in
+//! wall-clock ns by layout and buffer-pool size, through
+//! [`rps_bench::measure`] (median and p10–p90 of its passes).
 
 use ndcube::NdCube;
 use rps_analysis::Table;
+use rps_bench::measure::{measure, REPEATS};
 use rps_core::BoxGrid;
 use rps_core::RangeSumEngine;
 use rps_storage::{DeviceConfig, DiskRpsEngine, IoStats, LatencyModel};
 use rps_workload::{QueryGen, RegionSpec, UpdateGen};
 
 const OPS: usize = 400;
+
+fn build(
+    cube: &NdCube<i64>,
+    k: usize,
+    cells_per_page: usize,
+    box_aligned: bool,
+    pool_frames: usize,
+) -> DiskRpsEngine<i64> {
+    let grid = BoxGrid::new(cube.shape().clone(), &vec![k; cube.ndim()]).unwrap();
+    DiskRpsEngine::from_cube_with_grid(
+        cube,
+        grid,
+        DeviceConfig { cells_per_page },
+        pool_frames,
+        box_aligned,
+    )
+    .expect("build disk engine")
+}
 
 fn run(
     cube: &NdCube<i64>,
@@ -23,15 +46,7 @@ fn run(
     box_aligned: bool,
     pool_frames: usize,
 ) -> (f64, f64, f64, usize, IoStats) {
-    let grid = BoxGrid::new(cube.shape().clone(), &vec![k; cube.ndim()]).unwrap();
-    let mut engine = DiskRpsEngine::from_cube_with_grid(
-        cube,
-        grid,
-        DeviceConfig { cells_per_page },
-        pool_frames,
-        box_aligned,
-    )
-    .expect("build disk engine");
+    let mut engine = build(cube, k, cells_per_page, box_aligned, pool_frames);
     let dims: Vec<usize> = cube.shape().dims().to_vec();
 
     let mut qg = QueryGen::new(&dims, 11, RegionSpec::Fraction(0.4));
@@ -120,4 +135,41 @@ fn main() {
          spreads the same cascade across ~k pages. Query I/O is ≤ 2^d pages\n\
          either way (one RP cell per corner)."
     );
+
+    wall_clock(&cube, cells_per_page);
+}
+
+/// Query and update ns/op at the page-sized box (k = 16), by layout and
+/// pool size: 4 frames (cold), 32 (the table's) and 256 (every page of
+/// the cube).
+fn wall_clock(cube: &NdCube<i64>, cells_per_page: usize) {
+    const CALLS: usize = 32;
+    let dims = cube.shape().dims();
+    let regions = QueryGen::new(dims, 5, RegionSpec::Fraction(0.4)).take(CALLS);
+    let updates = UpdateGen::uniform(dims, 6, 20).take(CALLS);
+    println!(
+        "\n=== wall-clock, k = 16: ns/op, median (p10–p90) of {REPEATS} passes of {CALLS} ops ===\n"
+    );
+    let mut table = Table::new(&["layout", "pool frames", "ns/query", "ns/update"]);
+    for aligned in [true, false] {
+        for frames in [4usize, 32, 256] {
+            let mut engine = build(cube, 16, cells_per_page, aligned, frames);
+            let mut qi = regions.iter().cycle();
+            let query = measure(REPEATS, CALLS, || {
+                engine.query(qi.next().expect("cycle")).unwrap()
+            });
+            let mut ui = updates.iter().cycle();
+            let update = measure(REPEATS, CALLS, || {
+                let (c, d) = ui.next().expect("cycle");
+                engine.update(c, *d).unwrap();
+            });
+            table.row(&[
+                if aligned { "box-aligned" } else { "row-major" }.to_string(),
+                frames.to_string(),
+                query.ns.to_string(),
+                update.ns.to_string(),
+            ]);
+        }
+    }
+    print!("{}", table.render());
 }

@@ -8,6 +8,7 @@
 //! ```text
 //! cargo run --release -p rps-bench --bin exp_mixed_readwrite            # full
 //! cargo run --release -p rps-bench --bin exp_mixed_readwrite -- --smoke # CI
+//! cargo run --release -p rps-bench --bin exp_mixed_readwrite -- --out t.json
 //! ```
 //!
 //! Pacing: readers bump a shared op counter after every batch; the
@@ -17,20 +18,23 @@
 //! the initial cube total plus the updates applied (all deltas are +1)
 //! — a throughput number for wrong answers would be worse than none.
 //!
-//! The `*_updates_w{rate}` rows time each writer call (apply plus
-//! publish or unlock) and report the mean ns per update applied; a run
-//! that applies no updates (w0) emits no writer row.
+//! Every row goes through [`rps_bench::measure`]: a paced run is one
+//! pass, repeated, and each reader row is the median of its passes'
+//! ns per reader op. The `*_updates_w{rate}` rows time each writer call
+//! (apply plus publish or unlock) inside the pass and report the median
+//! of the passes' mean ns per update applied; a run that applies no
+//! updates (w0) emits no writer row.
 //!
-//! `allocs_per_op` is reported for the single-threaded serial baseline
-//! row only; the multi-threaded rows report 0 (the counting allocator
-//! is per-thread and the readers run on worker threads).
+//! `allocs_per_op` counts the measuring thread only: it is reported for
+//! the serial baseline and the writer rows, and is `null` on the reader
+//! rows, whose work runs on the reader threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use ndcube::{NdCube, Region};
 use rps_bench::alloc_counter::CountingAllocator;
-use rps_bench::throughput::{measure_batch, section_json, write_section, Measurement, Scenario};
+use rps_bench::measure::{measure_with, Args, Laps, Measurement, Scenario};
+use rps_bench::throughput::{section_json, write_section};
 use rps_core::{RangeSumEngine, RpsEngine, SharedEngine, VersionedEngine};
 use rps_workload::{CubeGen, QueryGen, RegionSpec};
 
@@ -43,6 +47,7 @@ const RATES: &[u64] = &[0, 1, 10];
 struct Config {
     dims: Vec<usize>,
     batch_len: usize,
+    /// Batches each reader reads in all, split across the passes.
     batches_per_reader: usize,
     readers: usize,
 }
@@ -60,104 +65,97 @@ fn update_coords(dims: &[usize], i: u64) -> Vec<usize> {
         .collect()
 }
 
-/// One paced run: `read_batch` drives the engine-specific read loop,
-/// `apply_update` the engine-specific write. Returns the reader
-/// measurement and the writer's (one op per update applied).
+/// One paced run per pass: `read_batch` drives the engine-specific
+/// read loop on each reader thread, `apply_update` the engine-specific
+/// write on this one. Returns the reader row, the writer row (one op per
+/// update applied; `None` when no pass applied one), and the updates
+/// applied over every pass, the warm-up included.
 fn run_paced(
     cfg: &Config,
+    repeats: usize,
     rate: u64,
-    read_batch: impl Fn(usize, &[Region]) + Sync,
+    read_batch: impl Fn(&[Region]) + Sync,
     apply_update: impl Fn(&[usize]),
-) -> (Measurement, Measurement) {
-    let reader_ops = AtomicU64::new(0);
-    let mut updates_applied = 0u64;
-    let mut update_ns = 0u128;
-    let total_ops = cfg.readers * cfg.batches_per_reader * cfg.batch_len;
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for r in 0..cfg.readers {
-            let reader_ops = &reader_ops;
-            let read_batch = &read_batch;
-            let regions: Vec<Region> =
-                QueryGen::new(&cfg.dims, 11 + r as u64, RegionSpec::Fraction(0.5))
-                    .take(cfg.batch_len);
-            scope.spawn(move || {
-                for _ in 0..cfg.batches_per_reader {
-                    read_batch(r, &regions);
-                    reader_ops.fetch_add(regions.len() as u64, Ordering::Relaxed);
+) -> (Measurement, Option<Measurement>, u64) {
+    let batches = cfg.batches_per_reader.div_ceil(repeats);
+    let pass_ops = (cfg.readers * batches * cfg.batch_len) as u64;
+    let reader_regions: Vec<Vec<Region>> = (0..cfg.readers)
+        .map(|r| {
+            QueryGen::new(&cfg.dims, 11 + r as u64, RegionSpec::Fraction(0.5)).take(cfg.batch_len)
+        })
+        .collect();
+    let mut writer_laps = Vec::new();
+    let (readers, ()) = measure_with(
+        repeats,
+        1,
+        pass_ops as usize,
+        || (),
+        |()| {
+            let reader_ops = AtomicU64::new(0);
+            let mut writer = Laps::default();
+            std::thread::scope(|scope| {
+                for regions in &reader_regions {
+                    let (reader_ops, read_batch) = (&reader_ops, &read_batch);
+                    scope.spawn(move || {
+                        for _ in 0..batches {
+                            read_batch(regions);
+                            reader_ops.fetch_add(regions.len() as u64, Ordering::Relaxed);
+                        }
+                    });
+                }
+                // The writer is paced on this thread: apply updates while
+                // below target, yield while ahead. Once the readers
+                // finish, the target freezes at `pass_ops × rate / 100`
+                // and the writer catches up to it before exiting, so
+                // every pass applies a deterministic update count even if
+                // the reader threads outpaced this one (e.g. on a
+                // single-CPU host).
+                loop {
+                    let ops = reader_ops.load(Ordering::Relaxed).min(pass_ops);
+                    let applied = writer.count() as u64;
+                    if applied < ops * rate / 100 {
+                        let coords = update_coords(&cfg.dims, applied);
+                        writer.time(|| apply_update(&coords));
+                    } else if ops >= pass_ops {
+                        break;
+                    } else {
+                        std::thread::yield_now();
+                    }
                 }
             });
-        }
-        // The writer is paced on this thread: apply updates while below
-        // target, yield while ahead. Once the readers finish, the
-        // target freezes at `total_ops × rate / 100` and the writer
-        // catches up to it before exiting, so every run applies a
-        // deterministic update count even if the reader threads
-        // outpaced this one (e.g. on a single-CPU host).
-        loop {
-            let ops = reader_ops.load(Ordering::Relaxed).min(total_ops as u64);
-            let target = ops * rate / 100;
-            if updates_applied < target {
-                let coords = update_coords(&cfg.dims, updates_applied);
-                let t0 = Instant::now();
-                apply_update(&coords);
-                update_ns += t0.elapsed().as_nanos();
-                updates_applied += 1;
-            } else if ops >= total_ops as u64 {
-                break;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    });
-    let elapsed = start.elapsed();
-
-    (
-        Measurement {
-            ops: total_ops,
-            ns_per_op: elapsed.as_nanos() as f64 / total_ops as f64,
-            allocs_per_op: 0.0,
+            writer_laps.push(writer);
         },
-        Measurement {
-            ops: usize::try_from(updates_applied).expect("fits"),
-            ns_per_op: update_ns as f64 / updates_applied.max(1) as f64,
-            allocs_per_op: 0.0,
-        },
-    )
+    );
+    let applied = writer_laps.iter().map(|l| l.count() as u64).sum();
+    // The first pass is the measurement core's untimed warm-up.
+    let writer = Measurement::from_laps(&writer_laps[1..]);
+    (readers.without_allocs(), writer, applied)
 }
 
-fn run_scenario(name: &str, cfg: &Config) -> Scenario {
+fn run_scenario(name: &str, cfg: &Config, repeats: usize) -> Scenario {
     let mut gen = CubeGen::new(0xC0FFEE);
     let cube: NdCube<i64> = gen.uniform(&cfg.dims, 0, 100).expect("valid dims");
-    let initial_total: i64 = {
-        let e = RpsEngine::from_cube(&cube);
-        e.query(&e.shape().full_region()).expect("in bounds")
-    };
-
-    let mut results = Vec::new();
-    let mut result_names = Vec::new();
+    let serial = RpsEngine::from_cube(&cube);
+    let initial_total = serial.total();
 
     // Serial baseline on this thread — this is the row the zero-alloc
     // contract is asserted against (S1: query_many ≈ 0 allocs/op after
     // warm-up).
-    let engine = RpsEngine::from_cube(&cube);
     let regions: Vec<Region> =
         QueryGen::new(&cfg.dims, 7, RegionSpec::Fraction(0.5)).take(cfg.batch_len);
-    let _warm = engine.query_many(&regions).expect("in bounds");
-    let (m, _) = measure_batch(cfg.batches_per_reader.max(2), cfg.batch_len, || {
-        let out = engine.query_many(&regions).expect("in bounds");
-        out.last().copied().unwrap_or(0)
-    });
-    results.push(m);
-    result_names.push("query_many_serial_baseline".to_string());
+    let (m, ()) = measure_with(
+        repeats,
+        cfg.batches_per_reader.max(2).div_ceil(repeats),
+        cfg.batch_len,
+        || (),
+        |()| serial.query_many(&regions).expect("in bounds"),
+    );
+    let mut rows = vec![("query_many_serial_baseline".to_string(), m)];
 
-    let mut push_paced = |engine: &str, rate: u64, readers: Measurement, writer: Measurement| {
-        results.push(readers);
-        result_names.push(format!("{engine}_readers_w{rate}"));
-        if writer.ops > 0 {
-            results.push(writer);
-            result_names.push(format!("{engine}_updates_w{rate}"));
+    let mut push_paced = |engine: &str, rate: u64, (readers, writer, _)| {
+        rows.push((format!("{engine}_readers_w{rate}"), readers));
+        if let Some(writer) = writer {
+            rows.push((format!("{engine}_updates_w{rate}"), writer));
         }
     };
 
@@ -165,10 +163,11 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
         // Versioned engine: readers take a snapshot per batch, the
         // writer publishes a version per update.
         let v = VersionedEngine::new(RpsEngine::from_cube(&cube));
-        let (readers, writer) = run_paced(
+        let paced = run_paced(
             cfg,
+            repeats,
             rate,
-            |_, regions| {
+            |regions| {
                 let snap = v.snapshot();
                 let out = snap.query_many(regions).expect("in bounds");
                 assert!(out.len() == regions.len());
@@ -177,17 +176,18 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
         );
         assert_eq!(
             v.total(),
-            initial_total + i64::try_from(writer.ops).expect("fits"),
-            "versioned total diverged after paced run"
+            initial_total + i64::try_from(paced.2).expect("fits"),
+            "versioned total diverged after paced runs"
         );
-        push_paced("versioned", rate, readers, writer);
+        push_paced("versioned", rate, paced);
 
         // RwLock baseline: readers serialize against the writer.
         let shared = SharedEngine::new(RpsEngine::from_cube(&cube));
-        let (readers, writer) = run_paced(
+        let paced = run_paced(
             cfg,
+            repeats,
             rate,
-            |_, regions| {
+            |regions| {
                 let out = shared.query_many(regions).expect("in bounds");
                 assert!(out.len() == regions.len());
             },
@@ -195,33 +195,25 @@ fn run_scenario(name: &str, cfg: &Config) -> Scenario {
         );
         assert_eq!(
             shared.total(),
-            initial_total + i64::try_from(writer.ops).expect("fits"),
-            "shared total diverged after paced run"
+            initial_total + i64::try_from(paced.2).expect("fits"),
+            "shared total diverged after paced runs"
         );
-        push_paced("shared", rate, readers, writer);
+        push_paced("shared", rate, paced);
     }
 
-    let box_size = RpsEngine::from_cube(&cube).grid().box_size().to_vec();
     Scenario {
         name: name.to_string(),
         dims: cfg.dims.clone(),
-        box_size,
-        results,
-        result_names,
+        box_size: serial.grid().box_size().to_vec(),
+        rows,
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{}/../../BENCH_THROUGHPUT.json", env!("CARGO_MANIFEST_DIR")));
+    let args = Args::parse("BENCH_THROUGHPUT.json");
+    let repeats = args.repeats();
 
-    let scenarios = if smoke {
+    let scenarios = if args.smoke {
         vec![run_scenario(
             "d2_n64",
             &Config {
@@ -230,6 +222,7 @@ fn main() {
                 batches_per_reader: 4,
                 readers: 2,
             },
+            repeats,
         )]
     } else {
         vec![
@@ -241,6 +234,7 @@ fn main() {
                     batches_per_reader: 16,
                     readers: 4,
                 },
+                repeats,
             ),
             run_scenario(
                 "d3_n32",
@@ -250,33 +244,21 @@ fn main() {
                     batches_per_reader: 16,
                     readers: 4,
                 },
+                repeats,
             ),
         ]
     };
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let section = section_json(if smoke { "smoke" } else { "full" }, host_cpus, &scenarios);
+    let section = section_json(args.mode(), host_cpus, &scenarios);
 
-    println!("=== mixed read/write throughput ({host_cpus} host cpus) ===\n");
+    println!(
+        "=== mixed read/write throughput ({host_cpus} host cpus), {repeats} passes a row ===\n"
+    );
     for s in &scenarios {
-        println!("scenario {} dims {:?} k {:?}", s.name, s.dims, s.box_size);
-        for (m, n) in s.results.iter().zip(&s.result_names) {
-            if n.contains("updates") {
-                println!(
-                    "  {n:<28} {:>10.1} ns/update ({} updates applied)",
-                    m.ns_per_op, m.ops
-                );
-            } else {
-                println!(
-                    "  {n:<28} {:>10.1} ns/op  {:>12.0} ops/s  ({:.4} allocs/op)",
-                    m.ns_per_op,
-                    1e9 / m.ns_per_op.max(1e-9),
-                    m.allocs_per_op
-                );
-            }
-        }
+        s.print();
     }
 
-    write_section(&out_path, "exp_mixed_readwrite", &section);
-    println!("\nwrote {out_path} (section exp_mixed_readwrite)");
+    write_section(&args.out, "exp_mixed_readwrite", &section);
+    println!("\nwrote {} (section exp_mixed_readwrite)", args.out);
 }

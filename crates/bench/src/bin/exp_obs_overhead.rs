@@ -20,82 +20,35 @@
 //! cargo run --release -p rps-bench --bin exp_obs_overhead -- --out p.json
 //! ```
 //!
-//! Results land in `BENCH_OBS.json` at the repo root; each `timing_off`
-//! measurement carries the matching baseline ns/op and the delta in
-//! percent so the overhead claim is auditable from the committed file
-//! alone (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md).
-
-use std::time::Instant;
+//! Results land in `BENCH_OBS.json` at the repo root. Every row goes
+//! through [`rps_bench::measure`] as `exp_hot_path`'s rows do, and each
+//! carries the matching `BENCH_HOTPATH.json` median and the delta of its
+//! own median in percent, so the overhead claim is auditable from the
+//! committed files alone (see docs/OBSERVABILITY.md and
+//! docs/PERFORMANCE.md).
 
 use ndcube::Region;
-use rps_bench::alloc_counter::{thread_allocs, CountingAllocator};
+use rps_bench::alloc_counter::CountingAllocator;
+use rps_bench::measure::{json_list, measure, measure_with, Args, Measurement};
 use rps_core::{RangeSumEngine, RpsEngine};
 use rps_workload::{CubeGen, QueryGen, RegionSpec, UpdateGen};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// One measured loop, plus the committed baseline when one exists for
-/// this (scenario, measurement) pair.
-struct Measurement {
-    name: &'static str,
-    ops: usize,
-    ns_per_op: f64,
-    allocs_per_op: f64,
-    baseline_ns_per_op: Option<f64>,
-}
-
-impl Measurement {
-    fn delta_pct(&self) -> Option<f64> {
-        self.baseline_ns_per_op
-            .filter(|b| *b > 0.0)
-            .map(|b| 100.0 * (self.ns_per_op - b) / b)
-    }
-
-    fn json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "{{\"name\":\"{}\",\"ops\":{},\"ns_per_op\":{:.1},\"allocs_per_op\":{:.4}",
-            self.name, self.ops, self.ns_per_op, self.allocs_per_op
-        );
-        if let (Some(b), Some(d)) = (self.baseline_ns_per_op, self.delta_pct()) {
-            let _ = write!(s, ",\"baseline_ns_per_op\":{b:.1},\"delta_pct\":{d:.1}");
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// Timed passes per measurement; `ns_per_op` is the minimum over the
-/// passes. The minimum is the standard noise-robust latency estimator
-/// for a deterministic loop: interference (scheduler, other tenants)
-/// only ever adds time, so the smallest pass is the closest view of the
-/// code's real cost. Allocations are summed across all passes — the
-/// zero-allocs claim must hold for every one of them.
-const PASSES: usize = 5;
-
-fn measure(
-    name: &'static str,
-    ops: usize,
-    baseline: Option<f64>,
-    mut body: impl FnMut(),
-) -> Measurement {
-    let alloc_before = thread_allocs();
-    let mut best = f64::INFINITY;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        for _ in 0..ops {
-            body();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / ops as f64);
-    }
-    let allocs = thread_allocs() - alloc_before;
-    Measurement {
-        name,
-        ops: ops * PASSES,
-        ns_per_op: best,
-        allocs_per_op: allocs as f64 / (ops * PASSES) as f64,
-        baseline_ns_per_op: baseline,
+/// Prints one row with its delta against `baseline` (the committed
+/// `BENCH_HOTPATH.json` median, when one exists) and returns its JSON.
+fn row(name: &str, m: &Measurement, baseline: Option<f64>) -> String {
+    if let Some(b) = baseline.filter(|b| *b > 0.0) {
+        let delta = 100.0 * (m.ns_per_op() - b) / b;
+        println!("    {}  {delta:+.1}%", m.line(name));
+        m.json_with(
+            name,
+            &format!("\"baseline_ns_per_op\":{b:.1},\"delta_pct\":{delta:.1}"),
+        )
+    } else {
+        println!("    {}  (no baseline)", m.line(name));
+        m.json(name)
     }
 }
 
@@ -116,139 +69,86 @@ fn baseline_ns(text: &str, scenario: &str, name: &str) -> Option<f64> {
     digits.parse().ok()
 }
 
-struct ModeRun {
-    mode: &'static str,
-    results: Vec<Measurement>,
-}
-
-struct Scenario {
-    name: String,
-    dims: Vec<usize>,
-    box_size: Vec<usize>,
-    modes: Vec<ModeRun>,
-}
-
-impl Scenario {
-    fn json(&self) -> String {
-        let dims: Vec<String> = self.dims.iter().map(ToString::to_string).collect();
-        let ks: Vec<String> = self.box_size.iter().map(ToString::to_string).collect();
-        let modes: Vec<String> = self
-            .modes
-            .iter()
-            .map(|m| {
-                let ms: Vec<String> = m.results.iter().map(Measurement::json).collect();
-                format!(
-                    "      {{\"mode\":\"{}\",\"measurements\":[\n        {}\n      ]}}",
-                    m.mode,
-                    ms.join(",\n        ")
-                )
-            })
-            .collect();
-        format!(
-            "    {{\"scenario\":\"{}\",\"dims\":[{}],\"box_size\":[{}],\"modes\":[\n{}\n    ]}}",
-            self.name,
-            dims.join(","),
-            ks.join(","),
-            modes.join(",\n")
-        )
-    }
-}
-
+/// Each row times about `query_ops` or `update_ops` operations in all,
+/// split across `repeats` passes. Prints the rows and returns the mode's
+/// JSON.
 fn run_mode(
-    mode: &'static str,
+    mode: &str,
     engine: &mut RpsEngine<i64>,
     scenario: &str,
     baseline: &str,
+    repeats: usize,
     query_ops: usize,
     update_ops: usize,
-) -> ModeRun {
+) -> String {
+    println!("  [{mode}]");
     let dims = engine.shape().dims().to_vec();
     let regions: Vec<Region> = QueryGen::new(&dims, 7, RegionSpec::Fraction(0.5)).take(query_ops);
     let points: Vec<Region> = QueryGen::new(&dims, 11, RegionSpec::Point).take(query_ops);
     let updates: Vec<(Vec<usize>, i64)> = UpdateGen::uniform(&dims, 13, 50).take(update_ops);
+    let (q_calls, u_calls) = (query_ops.div_ceil(repeats), update_ops.div_ceil(repeats));
+    let with_baseline = |name, m: &Measurement| row(name, m, baseline_ns(baseline, scenario, name));
 
-    // Warm up: thread-local scratch, metric registration, cache lines.
-    let mut sink = 0i64;
-    for r in regions.iter().take(64.min(query_ops)) {
-        sink = sink.wrapping_add(engine.query(r).expect("in bounds"));
-    }
-    for (c, d) in updates.iter().take(64.min(update_ops)) {
-        engine.update(c, *d).expect("in bounds");
-    }
-
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     let mut qi = regions.iter().cycle();
-    results.push(measure(
-        "range_query",
-        query_ops,
-        baseline_ns(baseline, scenario, "range_query"),
-        || {
-            let r = qi.next().expect("cycle never ends");
-            sink = sink.wrapping_add(engine.query(r).expect("in bounds"));
-        },
-    ));
+    let m = measure(repeats, q_calls, || {
+        engine.query(qi.next().expect("cycle")).expect("in bounds")
+    });
+    rows.push(with_baseline("range_query", &m));
     let mut pi = points.iter().cycle();
-    results.push(measure(
-        "point_query",
-        query_ops,
-        baseline_ns(baseline, scenario, "point_query"),
-        || {
-            let r = pi.next().expect("cycle never ends");
-            sink = sink.wrapping_add(engine.query(r).expect("in bounds"));
-        },
-    ));
+    let m = measure(repeats, q_calls, || {
+        engine.query(pi.next().expect("cycle")).expect("in bounds")
+    });
+    rows.push(with_baseline("point_query", &m));
     let mut ui = updates.iter().cycle();
-    results.push(measure(
-        "update",
-        update_ops,
-        baseline_ns(baseline, scenario, "update"),
-        || {
-            let (c, d) = ui.next().expect("cycle never ends");
-            engine.update(c, *d).expect("in bounds");
-        },
-    ));
+    let m = measure(repeats, u_calls, || {
+        let (c, d) = ui.next().expect("cycle");
+        engine.update(c, *d).expect("in bounds");
+    });
+    rows.push(with_baseline("update", &m));
 
     // The corner-cached batch path, measured per query: its per-batch
     // bookkeeping (the output and the cache table) must amortize to ~0
     // allocs per query.
     let batch: Vec<Region> = QueryGen::new(&dims, 19, RegionSpec::Fraction(0.5)).take(1024);
     let rounds = (query_ops / batch.len()).max(1);
-    let m = measure("query_many", rounds, None, || {
-        let out = engine.query_many(&batch).expect("in bounds");
-        sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
-    });
-    let per_query = Measurement {
-        name: m.name,
-        ops: m.ops * batch.len(),
-        ns_per_op: m.ns_per_op / batch.len() as f64,
-        allocs_per_op: m.allocs_per_op / batch.len() as f64,
-        baseline_ns_per_op: None,
-    };
+    let (m, ()) = measure_with(
+        repeats,
+        rounds.div_ceil(repeats),
+        batch.len(),
+        || (),
+        |()| engine.query_many(&batch).expect("in bounds"),
+    );
+    let allocs = m.allocs_per_op.expect("counted on this thread");
     if mode == "timing_off" {
         assert!(
-            per_query.allocs_per_op < 0.05,
-            "timing-off query_many batches must stay ~0 allocs/op, \
-             measured {:.4}",
-            per_query.allocs_per_op
+            allocs < 0.05,
+            "timing-off query_many batches must stay ~0 allocs/op, measured {allocs:.4}"
         );
     }
-    results.push(per_query);
+    rows.push(row("query_many", &m, None));
 
-    assert!(sink != i64::MIN, "checksum sentinel");
-    ModeRun { mode, results }
+    format!(
+        "      {{\"mode\":\"{mode}\",\"measurements\":[\n        {}\n      ]}}",
+        rows.join(",\n        ")
+    )
 }
 
+/// Prints the scenario's rows and returns its JSON.
 fn run_scenario(
     name: &str,
     dims: &[usize],
     baseline: &str,
+    repeats: usize,
     query_ops: usize,
     update_ops: usize,
-) -> Scenario {
+) -> String {
     let cube = CubeGen::new(0xC0FFEE)
         .uniform(dims, 0, 100)
         .expect("valid dims");
     let mut engine = RpsEngine::from_cube(&cube);
+    let box_size = engine.grid().box_size().to_vec();
+    println!("scenario {name} dims {dims:?} k {box_size:?}");
 
     // Default mode first; then the expensive configuration (timing on
     // plus an installed trace ring — install is first-wins and global,
@@ -259,6 +159,7 @@ fn run_scenario(
         &mut engine,
         name,
         baseline,
+        repeats,
         query_ops,
         update_ops,
     );
@@ -269,69 +170,48 @@ fn run_scenario(
         &mut engine,
         name,
         baseline,
+        repeats,
         query_ops,
         update_ops,
     );
     rps_obs::set_timing(false);
 
-    Scenario {
-        name: name.to_string(),
-        dims: dims.to_vec(),
-        box_size: engine.grid().box_size().to_vec(),
-        modes: vec![off, on],
-    }
+    format!(
+        "    {{\"scenario\":\"{name}\",\"dims\":{},\"box_size\":{},\"modes\":[\n{off},\n{on}\n    ]}}",
+        json_list(dims),
+        json_list(&box_size),
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{}/../../BENCH_OBS.json", env!("CARGO_MANIFEST_DIR")));
+    let args = Args::parse("BENCH_OBS.json");
+    let repeats = args.repeats();
     let baseline_path = format!("{}/../../BENCH_HOTPATH.json", env!("CARGO_MANIFEST_DIR"));
     let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_default();
 
-    let (q_ops, u_ops) = if smoke {
+    println!(
+        "=== observability overhead (vs BENCH_HOTPATH.json medians), {repeats} passes a row ===\n"
+    );
+    let (q_ops, u_ops) = if args.smoke {
         (2_000, 1_000)
     } else {
         (50_000, 20_000)
     };
-    let scenarios = if smoke {
-        vec![run_scenario("d2_n64", &[64, 64], &baseline, q_ops, u_ops)]
+    let shapes: &[(&str, &[usize])] = if args.smoke {
+        &[("d2_n64", &[64, 64])]
     } else {
-        vec![
-            run_scenario("d2_n512", &[512, 512], &baseline, q_ops, u_ops),
-            run_scenario("d3_n64", &[64, 64, 64], &baseline, q_ops, u_ops),
-        ]
+        &[("d2_n512", &[512, 512]), ("d3_n64", &[64, 64, 64])]
     };
+    let scenarios: Vec<String> = shapes
+        .iter()
+        .map(|(name, dims)| run_scenario(name, dims, &baseline, repeats, q_ops, u_ops))
+        .collect();
 
-    let body: Vec<String> = scenarios.iter().map(Scenario::json).collect();
     let json = format!(
         "{{\n  \"bench\": \"exp_obs_overhead\",\n  \"mode\": \"{}\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        body.join(",\n")
+        args.mode(),
+        scenarios.join(",\n")
     );
-
-    println!("=== observability overhead (vs BENCH_HOTPATH.json baseline) ===\n");
-    for s in &scenarios {
-        println!("scenario {} dims {:?} k {:?}", s.name, s.dims, s.box_size);
-        for mode in &s.modes {
-            println!("  [{}]", mode.mode);
-            for m in &mode.results {
-                let delta = m
-                    .delta_pct()
-                    .map_or_else(|| "   (no baseline)".to_string(), |d| format!("{d:+8.1}%"));
-                println!(
-                    "    {:<14} {:>10.1} ns/op  {:>8.4} allocs/op  {delta}",
-                    m.name, m.ns_per_op, m.allocs_per_op
-                );
-            }
-        }
-    }
-
-    std::fs::write(&out_path, &json).expect("write BENCH_OBS.json");
-    println!("\nwrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write BENCH_OBS.json");
+    println!("\nwrote {}", args.out);
 }

@@ -11,9 +11,13 @@
 //!
 //! Each client thread owns one tenant and keeps a dense local mirror of
 //! its cube; before any timing, a correctness pass asserts every wire
-//! answer bit-identical to the mirror (a serial oracle). The timed pass
-//! then measures end-to-end request latency: framing + CRC + TCP
-//! round-trip + routing + engine, amortized per request.
+//! answer bit-identical to the mirror (a serial oracle). The timed
+//! passes then measure end-to-end request latency: framing + CRC + TCP
+//! round-trip + routing + engine, amortized per request. Each
+//! `mixed_t{threads}` row goes through [`rps_bench::measure`]: a pass is
+//! one fan-out over client connections opened in the untimed setup; its
+//! `allocs_per_op` is `null` because the requests run on client and
+//! server threads, which the per-thread counter cannot see.
 //!
 //! Numbers are loopback-host-bound: on a single-CPU container the
 //! client threads, worker pool, and acceptor share one core, so the
@@ -24,7 +28,8 @@
 use std::net::SocketAddr;
 
 use rps_bench::alloc_counter::CountingAllocator;
-use rps_bench::throughput::{measure_batch, section_json, write_section, Scenario};
+use rps_bench::measure::{measure_with, Args, Scenario};
+use rps_bench::throughput::{section_json, write_section};
 use rps_serve::{Client, Server, ServerConfig};
 use rps_storage::SimRng;
 
@@ -60,10 +65,28 @@ impl Mirror {
     }
 }
 
+/// The tenant client `i` owns.
+fn tenant(i: usize) -> String {
+    format!("bench{i}")
+}
+
+/// One connected client per tenant, each past one served request: the
+/// acceptor polls for new connections every few milliseconds, and a
+/// timed pass must not wait on that poll. All connect before the first
+/// request, so one poll accepts them all.
+fn connect(addr: SocketAddr, threads: usize) -> Vec<Client> {
+    let mut clients: Vec<Client> = (0..threads)
+        .map(|_| Client::connect(addr).expect("loopback connect"))
+        .collect();
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.query(&tenant(i), &[0, 0], &[0, 0]).expect("query");
+    }
+    clients
+}
+
 /// One client thread's request mix: 1 update per 3 queries, seeded.
 /// With `check`, every answer is asserted against the mirror.
-fn drive(addr: SocketAddr, tenant: &str, seed: u64, ops: usize, check: bool) -> i64 {
-    let mut client = Client::connect(addr).expect("loopback connect");
+fn drive(mut client: Client, tenant: &str, seed: u64, ops: usize, check: bool) -> i64 {
     let mut rng = SimRng::new(seed);
     let mut mirror = if check { Some(Mirror::new()) } else { None };
     let mut sink = 0i64;
@@ -101,13 +124,15 @@ fn drive(addr: SocketAddr, tenant: &str, seed: u64, ops: usize, check: bool) -> 
     sink
 }
 
-/// Fans `threads` clients (one tenant each) out over the server.
-fn fan_out(addr: SocketAddr, threads: usize, ops_per_thread: usize, check: bool) -> i64 {
-    let handles: Vec<_> = (0..threads)
-        .map(|i| {
-            let tenant = format!("bench{i}");
+/// Fans the clients (one tenant each) out over the server, one thread
+/// each.
+fn fan_out(clients: Vec<Client>, ops_per_thread: usize, check: bool) -> i64 {
+    let handles: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(i, client)| {
             std::thread::spawn(move || {
-                drive(addr, &tenant, 0xBE9C + i as u64, ops_per_thread, check)
+                drive(client, &tenant(i), 0xBE9C + i as u64, ops_per_thread, check)
             })
         })
         .collect();
@@ -118,7 +143,14 @@ fn fan_out(addr: SocketAddr, threads: usize, ops_per_thread: usize, check: bool)
     sink
 }
 
-fn run_scenario(name: &str, thread_counts: &[usize], ops_per_thread: usize) -> Scenario {
+/// Each `mixed_t*` row sends about `ops_per_thread` requests per client
+/// in all, split across `repeats` passes.
+fn run_scenario(
+    name: &str,
+    thread_counts: &[usize],
+    repeats: usize,
+    ops_per_thread: usize,
+) -> Scenario {
     let max_threads = thread_counts.iter().copied().max().unwrap_or(1);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -130,27 +162,29 @@ fn run_scenario(name: &str, thread_counts: &[usize], ops_per_thread: usize) -> S
     .expect("bind loopback");
     let addr = server.local_addr();
     for i in 0..max_threads {
-        server
-            .create_tenant(&format!("bench{i}"), &DIMS)
-            .expect("tenant");
+        server.create_tenant(&tenant(i), &DIMS).expect("tenant");
     }
     let handle = server.shutdown_handle();
     let running = std::thread::spawn(move || server.run());
 
     // Correctness pass: every thread's wire answers must match its
     // serial oracle before anything is timed.
-    fan_out(addr, max_threads, ops_per_thread.min(300), true);
+    fan_out(connect(addr, max_threads), ops_per_thread.min(300), true);
 
-    let mut results = Vec::new();
-    let mut result_names = Vec::new();
-    for &threads in thread_counts {
-        let total_ops = threads * ops_per_thread;
-        let (m, _sink) = measure_batch(1, total_ops, || {
-            fan_out(addr, threads, ops_per_thread, false)
-        });
-        results.push(m);
-        result_names.push(format!("mixed_t{threads}"));
-    }
+    let per_pass = ops_per_thread.div_ceil(repeats);
+    let rows = thread_counts
+        .iter()
+        .map(|&threads| {
+            let (m, _) = measure_with(
+                repeats,
+                1,
+                threads * per_pass,
+                || connect(addr, threads),
+                |clients| fan_out(std::mem::take(clients), per_pass, false),
+            );
+            (format!("mixed_t{threads}"), m.without_allocs())
+        })
+        .collect();
 
     handle.shutdown();
     let report = running
@@ -166,43 +200,30 @@ fn run_scenario(name: &str, thread_counts: &[usize], ops_per_thread: usize) -> S
         name: name.to_string(),
         dims: DIMS.to_vec(),
         box_size: Vec::new(),
-        results,
-        result_names,
+        rows,
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{}/../../BENCH_THROUGHPUT.json", env!("CARGO_MANIFEST_DIR")));
-
-    let threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let ops_per_thread = if smoke { 200 } else { 2000 };
-    let scenarios = vec![run_scenario("loopback_mixed_1u3q", threads, ops_per_thread)];
+    let args = Args::parse("BENCH_THROUGHPUT.json");
+    let threads: &[usize] = if args.smoke { &[1, 2] } else { &[1, 2, 4, 8] };
+    let ops_per_thread = if args.smoke { 200 } else { 2000 };
+    let scenarios = vec![run_scenario(
+        "loopback_mixed_1u3q",
+        threads,
+        args.repeats(),
+        ops_per_thread,
+    )];
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let section = section_json(if smoke { "smoke" } else { "full" }, host_cpus, &scenarios);
+    let section = section_json(args.mode(), host_cpus, &scenarios);
 
     println!("=== serve-path throughput, loopback clients ({host_cpus} host cpus) ===\n");
     for s in &scenarios {
-        println!(
-            "scenario {} dims {:?} (1 update : 3 queries)",
-            s.name, s.dims
-        );
-        for (m, n) in s.results.iter().zip(&s.result_names) {
-            println!(
-                "  {n:<12} {:>10.1} ns/req  {:>10.0} req/s",
-                m.ns_per_op,
-                1e9 / m.ns_per_op.max(1e-9)
-            );
-        }
+        println!("1 update : 3 queries per client, ns per request:");
+        s.print();
     }
 
-    write_section(&out_path, "exp_serve_throughput", &section);
-    println!("\nwrote {out_path} (section exp_serve_throughput)");
+    write_section(&args.out, "exp_serve_throughput", &section);
+    println!("\nwrote {} (section exp_serve_throughput)", args.out);
 }

@@ -1,34 +1,36 @@
 //! # rps-bench — the experiment harness
 //!
 //! Report binaries (`src/bin/exp_*`) regenerate every figure and table of
-//! the paper in cell-count/storage terms; Criterion benches (`benches/`)
-//! add wall-clock numbers. See `EXPERIMENTS.md` at the workspace root for
-//! the experiment-by-experiment index and paper-vs-measured record.
+//! the paper in cell-count/storage terms and time the same operations in
+//! wall-clock ns/op through one measurement core ([`measure`]). See
+//! `EXPERIMENTS.md` at the workspace root for the experiment-by-experiment
+//! index and paper-vs-measured record, and `docs/PERFORMANCE.md` for the
+//! committed `BENCH_*.json` baselines.
 //!
 //! Run everything:
 //!
 //! ```text
-//! cargo run --release -p rps-bench --bin exp_update_example
-//! cargo run --release -p rps-bench --bin exp_box_size_sweep
-//! cargo run --release -p rps-bench --bin exp_complexity_product
-//! cargo run --release -p rps-bench --bin exp_fig16_storage
-//! cargo run --release -p rps-bench --bin exp_disk_io
-//! cargo bench -p rps-bench
+//! scripts/run_experiments.sh out/
+//! cargo run --release -p rps-bench --bin exp_hot_path -- --out p.json
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod alloc_counter;
+pub mod measure;
 pub mod throughput;
 
-use ndcube::Region;
 use rps_core::RangeSumEngine;
 use rps_workload::Op;
 
+// The unit tests of `measure` read the allocation counter.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
 /// Replays a pre-generated op batch on an engine, returning a checksum of
-/// query answers (so benches can't be optimized away and engines can be
-/// cross-checked).
+/// query answers (so the optimizer cannot drop the queries).
 pub fn replay(engine: &mut dyn RangeSumEngine<i64>, ops: &[Op]) -> i64 {
     let mut checksum = 0i64;
     for op in ops {
@@ -38,16 +40,4 @@ pub fn replay(engine: &mut dyn RangeSumEngine<i64>, ops: &[Op]) -> i64 {
         }
     }
     checksum
-}
-
-/// The worst-typical update position for cost measurements: just past the
-/// first anchor in every dimension (the paper's Figure 15 position is the
-/// d = 2, n = 9 instance of this).
-pub fn worst_update_position(d: usize) -> Vec<usize> {
-    vec![1; d]
-}
-
-/// The cube-wide query region for an engine.
-pub fn full_region(engine: &dyn RangeSumEngine<i64>) -> Region {
-    engine.shape().full_region()
 }

@@ -16,101 +16,18 @@
 //! policy. Files in the pre-section legacy layout (a bare
 //! `{"bench": ...}` object) are treated as absent and rebuilt.
 
-use std::time::Instant;
-
-use crate::alloc_counter::thread_allocs;
-
-/// One measured loop: ns/op and allocs/op over `ops` operations.
-pub struct Measurement {
-    /// Operations timed.
-    pub ops: usize,
-    /// Mean wall-clock nanoseconds per operation.
-    pub ns_per_op: f64,
-    /// Mean heap allocations per operation (this thread only).
-    pub allocs_per_op: f64,
-}
-
-impl Measurement {
-    /// The measurement as one JSON object row.
-    pub fn json(&self, name: &str) -> String {
-        format!(
-            "{{\"name\":\"{name}\",\"ops\":{},\"ns_per_op\":{:.1},\"allocs_per_op\":{:.4},\"ops_per_sec\":{:.0}}}",
-            self.ops,
-            self.ns_per_op,
-            self.allocs_per_op,
-            1e9 / self.ns_per_op.max(1e-9)
-        )
-    }
-}
-
-/// One scenario (shape + box size) with its named measurements.
-pub struct Scenario {
-    /// Scenario label, e.g. `d2_n512`.
-    pub name: String,
-    /// Cube dimensions.
-    pub dims: Vec<usize>,
-    /// Box size the engine chose/was given.
-    pub box_size: Vec<usize>,
-    /// Measurements, parallel to `result_names`.
-    pub results: Vec<Measurement>,
-    /// Row name per measurement.
-    pub result_names: Vec<String>,
-}
-
-impl Scenario {
-    /// The scenario as a JSON object (indented for the committed file).
-    pub fn json(&self) -> String {
-        let dims: Vec<String> = self.dims.iter().map(ToString::to_string).collect();
-        let ks: Vec<String> = self.box_size.iter().map(ToString::to_string).collect();
-        let measurements: Vec<String> = self
-            .results
-            .iter()
-            .zip(&self.result_names)
-            .map(|(m, n)| m.json(n))
-            .collect();
-        format!(
-            "      {{\"scenario\":\"{}\",\"dims\":[{}],\"box_size\":[{}],\"measurements\":[\n        {}\n      ]}}",
-            self.name,
-            dims.join(","),
-            ks.join(","),
-            measurements.join(",\n        ")
-        )
-    }
-}
+use crate::measure::Scenario;
 
 /// Assembles one binary's section body from its mode and scenarios.
 pub fn section_json(mode: &str, host_cpus: usize, scenarios: &[Scenario]) -> String {
-    let body: Vec<String> = scenarios.iter().map(Scenario::json).collect();
+    // Two levels deeper than in the single-binary files.
+    let body: Vec<String> = scenarios
+        .iter()
+        .map(|s| format!("  {}", s.json().replace('\n', "\n  ")))
+        .collect();
     format!(
         "{{\n      \"mode\": \"{mode}\",\n      \"host_cpus\": {host_cpus},\n      \"scenarios\": [\n{}\n      ]\n    }}",
         body.join(",\n")
-    )
-}
-
-/// Times `rounds` repetitions of a whole-batch call, reporting per-op
-/// cost over `rounds * batch_len` operations (the batch is the op unit
-/// the front-ends amortize over).
-pub fn measure_batch(
-    rounds: usize,
-    batch_len: usize,
-    mut body: impl FnMut() -> i64,
-) -> (Measurement, i64) {
-    let mut sink = 0i64;
-    let alloc_before = thread_allocs();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        sink = sink.wrapping_add(body());
-    }
-    let elapsed = start.elapsed();
-    let allocs = thread_allocs() - alloc_before;
-    let ops = rounds * batch_len;
-    (
-        Measurement {
-            ops,
-            ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
-            allocs_per_op: allocs as f64 / ops as f64,
-        },
-        sink,
     )
 }
 

@@ -1,6 +1,6 @@
 //! The allocation contract, enforced: steady-state `RpsEngine::query`,
-//! `::prefix_sum` and `::update`, and the Fenwick engines' warm
-//! `range_update`, perform **zero** heap allocations.
+//! `::prefix_sum` and `::update`, and the Fenwick engines' warm `query`,
+//! `update` and `range_update`, perform **zero** heap allocations.
 //!
 //! This is the measured form of the promise `docs/PERFORMANCE.md` makes
 //! and the L5 lint guards statically: after one warm-up pass (which is
@@ -14,7 +14,7 @@
 //! traffic from other test threads — but to keep the warm/measure pairing
 //! on one thread, each scenario runs start-to-finish in a single `#[test]`.
 
-use ndcube::Region;
+use ndcube::{NdCube, NdError, Region};
 use rps_bench::alloc_counter::{thread_alloc_bytes, thread_allocs, CountingAllocator};
 use rps_core::{BlockedFenwickEngine, FenwickEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_storage::{DeviceConfig, DiskRpsEngine};
@@ -29,9 +29,12 @@ const WARM: usize = 16;
 /// unmissable, small enough to stay instant in debug builds.
 const OPS: usize = 2_000;
 
+fn cube_for(dims: &[usize]) -> NdCube<i64> {
+    CubeGen::new(0xA110C).uniform(dims, -50, 50).expect("dims")
+}
+
 fn engine_for(dims: &[usize]) -> RpsEngine<i64> {
-    let cube = CubeGen::new(0xA110C).uniform(dims, -50, 50).expect("dims");
-    RpsEngine::from_cube(&cube)
+    RpsEngine::from_cube(&cube_for(dims))
 }
 
 /// Runs `check` on the `query_many` of every storage that answers through
@@ -70,10 +73,19 @@ fn for_each_batch_path(
     }
 }
 
-/// Runs the warm/measure protocol for one cube shape and returns the
-/// allocation counts observed across the measured query and update loops.
+/// Runs the warm/measure protocol on an RPS engine over one cube shape.
 fn measure(dims: &[usize]) -> (u64, u64) {
-    let mut engine = engine_for(dims);
+    measure_engine(engine_for(dims), dims, RpsEngine::prefix_sum)
+}
+
+/// Runs the warm/measure protocol on one engine and returns the
+/// allocation counts observed across the measured query (with
+/// `prefix_sum`) and update loops.
+fn measure_engine<E: RangeSumEngine<i64>>(
+    mut engine: E,
+    dims: &[usize],
+    prefix_sum: impl Fn(&E, &[usize]) -> Result<i64, NdError>,
+) -> (u64, u64) {
     let regions: Vec<Region> = QueryGen::new(dims, 7, RegionSpec::Fraction(0.5)).take(OPS);
     let points: Vec<Region> = QueryGen::new(dims, 11, RegionSpec::Point).take(OPS);
     let updates: Vec<(Vec<usize>, i64)> = UpdateGen::uniform(dims, 13, 50).take(OPS);
@@ -86,7 +98,7 @@ fn measure(dims: &[usize]) -> (u64, u64) {
     }
     for (c, d) in updates.iter().take(WARM) {
         engine.update(c, *d).expect("in bounds");
-        sink = sink.wrapping_add(engine.prefix_sum(c).expect("in bounds"));
+        sink = sink.wrapping_add(prefix_sum(&engine, c).expect("in bounds"));
     }
 
     let before = thread_allocs();
@@ -94,7 +106,7 @@ fn measure(dims: &[usize]) -> (u64, u64) {
         sink = sink.wrapping_add(engine.query(r).expect("in bounds"));
     }
     for (c, _) in &updates {
-        sink = sink.wrapping_add(engine.prefix_sum(c).expect("in bounds"));
+        sink = sink.wrapping_add(prefix_sum(&engine, c).expect("in bounds"));
     }
     let query_allocs = thread_allocs() - before;
 
@@ -174,7 +186,7 @@ fn warm_range_update_allocs<E: RangeSumEngine<i64>>(mut engine: E, dims: &[usize
 #[test]
 fn warm_fenwick_range_updates_do_not_allocate() {
     for dims in [vec![48usize, 48], vec![16, 16, 16]] {
-        let cube = CubeGen::new(0xA110C).uniform(&dims, -50, 50).expect("dims");
+        let cube = cube_for(&dims);
         let fenwick = warm_range_update_allocs(FenwickEngine::from_cube(&cube), &dims);
         assert_eq!(
             fenwick, 0,
@@ -185,6 +197,36 @@ fn warm_fenwick_range_updates_do_not_allocate() {
             blocked, 0,
             "blocked-fenwick range updates on {dims:?} allocated {blocked} times in {OPS} ops"
         );
+    }
+}
+
+/// The Fenwick engines' chain walks run on the thread-local scratch
+/// (queries) and the engine-owned scratch (updates).
+#[test]
+fn steady_state_fenwick_queries_and_updates_do_not_allocate() {
+    for dims in [vec![64usize, 64], vec![16, 16, 16]] {
+        let cube = cube_for(&dims);
+        for (name, (q, u)) in [
+            (
+                "fenwick",
+                measure_engine(
+                    FenwickEngine::from_cube(&cube),
+                    &dims,
+                    FenwickEngine::prefix_sum,
+                ),
+            ),
+            (
+                "blocked-fenwick",
+                measure_engine(
+                    BlockedFenwickEngine::from_cube(&cube),
+                    &dims,
+                    BlockedFenwickEngine::prefix_sum,
+                ),
+            ),
+        ] {
+            assert_eq!(q, 0, "{name} queries on {dims:?} allocated {q} times");
+            assert_eq!(u, 0, "{name} updates on {dims:?} allocated {u} times");
+        }
     }
 }
 

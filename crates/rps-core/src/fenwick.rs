@@ -10,9 +10,9 @@
 
 use ndcube::{NdCube, NdError, Region, Shape};
 
-use crate::corners::range_sum_from_prefix;
+use crate::corners::range_sum_from_prefix_with;
 use crate::engine::RangeSumEngine;
-use crate::rps::KernelScratch;
+use crate::rps::{with_scratch, KernelScratch};
 use crate::stats::{CostStats, StatsCell};
 use crate::value::GroupValue;
 
@@ -53,8 +53,9 @@ pub struct FenwickEngine<T> {
     /// Cached grand total, bumped on every update — `total()` in O(1).
     total: T,
     stats: StatsCell,
-    /// Corner and index buffers of the range-update walk, reused across
-    /// calls.
+    /// Chain index of point updates and corner and index buffers of the
+    /// range-update walk, reused across calls. Queries take `&self` and
+    /// use the thread-local scratch instead to stay `Sync`.
     scratch: KernelScratch,
 }
 
@@ -207,6 +208,7 @@ impl<T: GroupValue> FenwickEngine<T> {
     pub fn zeros(dims: &[usize]) -> Result<Self, NdError> {
         Ok(FenwickEngine {
             tree: NdCube::filled(dims, T::zero())?,
+            // lint:allow(L5): construction-time placeholder; aux trees allocate lazily on the first range update
             aux: Vec::new(),
             total: T::zero(),
             stats: StatsCell::new(),
@@ -238,21 +240,28 @@ impl<T: GroupValue> FenwickEngine<T> {
     /// trees).
     pub fn prefix_sum(&self, x: &[usize]) -> Result<T, NdError> {
         self.tree.shape().check(x)?;
-        Ok(self.prefix_internal(x))
+        Ok(with_scratch(|s| self.prefix_with(x, &mut s.kernel)))
     }
 
-    fn prefix_internal(&self, x: &[usize]) -> T {
-        let d = x.len();
-        let mut idx = vec![0usize; d];
-        let mut acc = tree_prefix_rec(&self.tree, &self.stats, x, 0, &mut idx);
-        acc.add_assign(&aux_prefix_part(&self.aux, &self.stats, x, &mut idx));
+    /// Prefix reconstruction against a caller-provided chain index: the
+    /// base tree plus the auxiliary trees' range-update share.
+    fn prefix_with(&self, x: &[usize], ks: &mut KernelScratch) -> T {
+        ks.ensure(x.len());
+        let mut acc = tree_prefix_rec(&self.tree, &self.stats, x, 0, &mut ks.lo);
+        acc.add_assign(&aux_prefix_part(&self.aux, &self.stats, x, &mut ks.lo));
         acc
     }
 
     fn add_internal(&mut self, coords: &[usize], delta: &T) {
-        let d = coords.len();
-        let mut idx = vec![0usize; d];
-        tree_add_rec(&mut self.tree, &self.stats, coords, 0, &mut idx, delta);
+        self.scratch.ensure(coords.len());
+        tree_add_rec(
+            &mut self.tree,
+            &self.stats,
+            coords,
+            0,
+            &mut self.scratch.lo,
+            delta,
+        );
     }
 }
 
@@ -267,7 +276,10 @@ impl<T: GroupValue> RangeSumEngine<T> for FenwickEngine<T> {
 
     fn query(&self, region: &Region) -> Result<T, NdError> {
         self.tree.shape().check_region(region)?;
-        let sum = range_sum_from_prefix(region, |corner| self.prefix_internal(corner));
+        let sum = with_scratch(|s| {
+            let (corner, ks) = s.split();
+            range_sum_from_prefix_with(region, corner, |c| self.prefix_with(c, ks))
+        });
         self.stats.query();
         Ok(sum)
     }

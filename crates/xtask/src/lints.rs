@@ -259,6 +259,7 @@ pub const L5_HOT_PATH_MODULES: &[&str] = &[
     "crates/rps-core/src/rps/grid.rs",
     "crates/rps-core/src/rps/kernels.rs",
     "crates/rps-core/src/blocked_fenwick.rs",
+    "crates/rps-core/src/fenwick.rs",
 ];
 
 /// Crate roots that must carry the L3 lint header.

@@ -129,6 +129,17 @@ fn l5_scope_covers_the_lane_kernels() {
 }
 
 #[test]
+fn l5_scope_covers_the_fenwick_engine() {
+    // The binary Fenwick engine's queries and point updates walk their
+    // chains on reused scratch buffers; the L5 scan keeps a per-call
+    // `vec!` from coming back.
+    assert!(
+        L5_HOT_PATH_MODULES.contains(&"crates/rps-core/src/fenwick.rs"),
+        "fenwick.rs must stay L5-scanned; scope is {L5_HOT_PATH_MODULES:?}"
+    );
+}
+
+#[test]
 fn lint_scope_covers_the_blocked_fenwick_engine() {
     // The cache-blocked b-ary Fenwick engine joined the hot path with
     // the range-update work: its chain walks are audited raw-index

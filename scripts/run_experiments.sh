@@ -24,7 +24,13 @@ cargo build --release -p rps-bench --bins
 
 for bin in "${BINS[@]}"; do
   echo "== $bin =="
-  cargo run -q --release -p rps-bench --bin "$bin" | tee "$OUT/$bin.txt"
+  args=()
+  # Its JSON section goes next to the text output, not into the
+  # committed BENCH_THROUGHPUT.json at the repo root.
+  if [[ $bin == exp_mixed_readwrite ]]; then
+    args=(--out "$OUT/BENCH_THROUGHPUT.json")
+  fi
+  cargo run -q --release -p rps-bench --bin "$bin" -- "${args[@]}" | tee "$OUT/$bin.txt"
   echo
 done
 
