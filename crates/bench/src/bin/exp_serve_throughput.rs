@@ -70,10 +70,8 @@ fn tenant(i: usize) -> String {
     format!("bench{i}")
 }
 
-/// One connected client per tenant, each past one served request: the
-/// acceptor polls for new connections every few milliseconds, and a
-/// timed pass must not wait on that poll. All connect before the first
-/// request, so one poll accepts them all.
+/// One connected client per tenant, each past one served request, so a
+/// timed pass times requests on open connections, not connection setup.
 fn connect(addr: SocketAddr, threads: usize) -> Vec<Client> {
     let mut clients: Vec<Client> = (0..threads)
         .map(|_| Client::connect(addr).expect("loopback connect"))

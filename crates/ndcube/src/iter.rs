@@ -24,15 +24,7 @@ impl<'a> RegionIter<'a> {
     /// single buffer (one allocation per call, none per cell).
     pub fn for_each_coords(region: &Region, f: impl FnMut(&[usize])) {
         let mut cur = Vec::new();
-        Self::for_each_coords_with(region, &mut cur, f);
-    }
-
-    /// [`Self::for_each_coords`] with a caller-provided odometer buffer —
-    /// zero allocations, for hot paths that walk many regions with one
-    /// reused buffer. The buffer is cleared and refilled; any previous
-    /// contents and capacity beyond `region.ndim()` are reused.
-    pub fn for_each_coords_with(region: &Region, cur: &mut Vec<usize>, f: impl FnMut(&[usize])) {
-        for_each_coords_in_bounds(region.lo(), region.hi(), cur, f);
+        for_each_coords_in_bounds(region.lo(), region.hi(), &mut cur, f);
     }
 }
 
@@ -84,7 +76,7 @@ pub fn for_each_run_in_bounds(
     }
 }
 
-/// The odometer walk underlying [`RegionIter::for_each_coords_with`],
+/// The odometer walk underlying [`RegionIter::for_each_coords`],
 /// taking raw `lo`/`hi` slices so callers holding bounds in scratch
 /// buffers need not materialize a [`Region`] (whose constructor
 /// allocates). Bounds are inclusive; `lo[i] ≤ hi[i]` must hold for every
@@ -233,76 +225,6 @@ impl Iterator for LinearRegionIter<'_> {
 
 impl ExactSizeIterator for LinearRegionIter<'_> {}
 
-/// Iterates the maximal contiguous runs of a region inside a shape: one
-/// `(start, len)` pair per outer coordinate, where `start` is the linear
-/// offset of the run's first cell and `len` its innermost-axis extent.
-///
-/// Row-major layout makes the last dimension the only contiguous one, so
-/// each run covers `hi[last] − lo[last] + 1` cells. This is the iterator
-/// form of [`Shape::for_each_contiguous_run_in_bounds`], for callers that
-/// want run-structured access (slice-at-a-time kernels) with iterator
-/// ergonomics; the callback form is the zero-alloc hot-path variant.
-pub struct ContiguousRuns<'a> {
-    shape: &'a Shape,
-    region: &'a Region,
-    coords: Vec<usize>,
-    start: usize,
-    run_len: usize,
-    remaining: usize,
-}
-
-impl<'a> ContiguousRuns<'a> {
-    pub(crate) fn new(shape: &'a Shape, region: &'a Region) -> Self {
-        debug_assert!(shape.check_region(region).is_ok());
-        let coords = region.lo().to_vec();
-        let start = shape.linear_unchecked(&coords);
-        let last = shape.ndim() - 1;
-        let run_len = region.hi()[last] - region.lo()[last] + 1;
-        ContiguousRuns {
-            shape,
-            region,
-            coords,
-            start,
-            run_len,
-            remaining: region.cell_count() / run_len,
-        }
-    }
-}
-
-impl Iterator for ContiguousRuns<'_> {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let out = (self.start, self.run_len);
-        // Advance the outer odometer (the innermost coordinate stays at
-        // the run start); d == 1 has a single run, then exhausts.
-        let d = self.coords.len();
-        let mut dim = d - 1;
-        while dim > 0 {
-            dim -= 1;
-            if self.coords[dim] < self.region.hi()[dim] {
-                self.coords[dim] += 1;
-                self.start += self.shape.strides()[dim];
-                break;
-            }
-            let span = self.coords[dim] - self.region.lo()[dim];
-            self.start -= span * self.shape.strides()[dim];
-            self.coords[dim] = self.region.lo()[dim];
-        }
-        Some(out)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for ContiguousRuns<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,24 +278,6 @@ mod tests {
         RegionIter::for_each_coords(&r, |c| collected.push(c.to_vec()));
         let expected: Vec<Vec<usize>> = r.iter().collect();
         assert_eq!(collected, expected);
-    }
-
-    #[test]
-    fn for_each_coords_with_reuses_buffer() {
-        let r = Region::new(&[1, 0, 2], &[2, 1, 3]).unwrap();
-        // Pre-dirty the buffer: the walk must clear and refill it.
-        let mut buf = vec![99usize; 7];
-        let mut collected = Vec::new();
-        RegionIter::for_each_coords_with(&r, &mut buf, |c| collected.push(c.to_vec()));
-        let expected: Vec<Vec<usize>> = r.iter().collect();
-        assert_eq!(collected, expected);
-
-        // Second walk over a different region with the same buffer.
-        let r2 = Region::new(&[0, 0], &[2, 2]).unwrap();
-        collected.clear();
-        RegionIter::for_each_coords_with(&r2, &mut buf, |c| collected.push(c.to_vec()));
-        let expected2: Vec<Vec<usize>> = r2.iter().collect();
-        assert_eq!(collected, expected2);
     }
 
     #[test]

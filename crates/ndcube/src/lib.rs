@@ -43,9 +43,7 @@ mod view;
 
 pub use cube::NdCube;
 pub use error::NdError;
-pub use iter::{
-    for_each_coords_in_bounds, for_each_run_in_bounds, ContiguousRuns, LinearRegionIter, RegionIter,
-};
+pub use iter::{for_each_coords_in_bounds, for_each_run_in_bounds, LinearRegionIter, RegionIter};
 pub use region::Region;
 pub use shape::Shape;
 pub use view::CubeView;

@@ -159,69 +159,17 @@ impl Shape {
         LinearRegionIter::new(self, region)
     }
 
-    /// Calls `f` with the linear offset of every cell in `lo ..= hi`
-    /// (inclusive bounds, row-major order), advancing incrementally — one
-    /// add per step in the common case — and reusing the caller's
-    /// coordinate buffer: zero allocations.
-    ///
-    /// The bounds-slice form of [`Self::linear_region_iter`], for hot
-    /// paths whose bounds live in scratch buffers rather than a
-    /// [`Region`]. Bounds must be in range (debug-asserted).
-    pub fn for_each_linear_in_bounds(
-        &self,
-        lo: &[usize],
-        hi: &[usize],
-        cur: &mut Vec<usize>,
-        mut f: impl FnMut(usize),
-    ) {
-        let d = self.ndim();
-        debug_assert_eq!(lo.len(), d);
-        debug_assert_eq!(hi.len(), d);
-        debug_assert!(lo.iter().zip(hi).all(|(l, h)| l <= h));
-        debug_assert!(self.check(hi).is_ok());
-        cur.clear();
-        cur.extend_from_slice(lo);
-        let mut linear = self.linear_unchecked(cur);
-        let last = d - 1;
-        loop {
-            f(linear);
-            if cur[last] < hi[last] {
-                // Fast path: step within the innermost dimension.
-                cur[last] += 1;
-                linear += self.strides[last];
-                continue;
-            }
-            // Carry: rewind exhausted dimensions, bump the next one out.
-            let mut dim = last;
-            loop {
-                let span = cur[dim] - lo[dim];
-                linear -= span * self.strides[dim];
-                cur[dim] = lo[dim];
-                if dim == 0 {
-                    return;
-                }
-                dim -= 1;
-                if cur[dim] < hi[dim] {
-                    cur[dim] += 1;
-                    linear += self.strides[dim];
-                    break;
-                }
-            }
-        }
-    }
-
     /// Calls `f` with `(start, len)` for every maximal contiguous run of
     /// cells in `lo ..= hi`: the innermost-axis span at each outer
     /// coordinate. Row-major layout makes the last dimension the only
     /// contiguous one, so a run is `hi[last] − lo[last] + 1` cells long and
     /// starts at the linear offset of `(…outer…, lo[last])`.
     ///
-    /// This is the walk the lane kernels in `rps-core` consume: one
-    /// callback per run lets them process the run as a slice (chunked,
-    /// autovectorizable) instead of paying the odometer per cell as
-    /// [`Self::for_each_linear_in_bounds`] does. Reuses the caller's
-    /// coordinate buffer: zero allocations. Bounds must be in range
-    /// (debug-asserted).
+    /// This is the walk the kernels in `rps-core` consume: one callback
+    /// per run lets them process the run as a slice (chunked,
+    /// autovectorizable) instead of paying the odometer per cell.
+    /// Reuses the caller's coordinate buffer: zero allocations. Bounds
+    /// must be in range (debug-asserted).
     pub fn for_each_contiguous_run_in_bounds(
         &self,
         lo: &[usize],
@@ -231,13 +179,6 @@ impl Shape {
     ) {
         debug_assert!(self.check(hi).is_ok());
         crate::for_each_run_in_bounds(&self.strides, lo, hi, cur, f);
-    }
-
-    /// Iterator form of [`Self::for_each_contiguous_run_in_bounds`] over a
-    /// [`Region`]: yields `(start, len)` for each maximal contiguous
-    /// (innermost-axis) run, in row-major order of the outer coordinates.
-    pub fn contiguous_runs<'a>(&'a self, region: &'a Region) -> crate::ContiguousRuns<'a> {
-        crate::ContiguousRuns::new(self, region)
     }
 
     /// Calls `f` with each (coordinates, linear offset) pair of `region`
@@ -355,44 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn for_each_linear_in_bounds_matches_iterator() {
-        let s = Shape::new(&[3, 4, 2]).unwrap();
-        let r = Region::new(&[1, 0, 1], &[2, 3, 1]).unwrap();
-        let mut buf = vec![7usize; 9]; // pre-dirtied: must be cleared
-        let mut got = Vec::new();
-        s.for_each_linear_in_bounds(r.lo(), r.hi(), &mut buf, |lin| got.push(lin));
-        let want: Vec<usize> = s.linear_region_iter(&r).collect();
-        assert_eq!(got, want);
-
-        // One-dimensional and singleton walks.
-        let s1 = Shape::new(&[10]).unwrap();
-        got.clear();
-        s1.for_each_linear_in_bounds(&[4], &[8], &mut buf, |lin| got.push(lin));
-        assert_eq!(got, vec![4, 5, 6, 7, 8]);
-        got.clear();
-        s1.for_each_linear_in_bounds(&[9], &[9], &mut buf, |lin| got.push(lin));
-        assert_eq!(got, vec![9]);
-    }
-
-    #[test]
     fn contiguous_runs_cover_the_region_in_order() {
         let s = Shape::new(&[3, 4, 5]).unwrap();
         let r = Region::new(&[1, 0, 2], &[2, 3, 4]).unwrap();
         let mut buf = vec![9usize; 5]; // pre-dirtied: must be cleared
         let mut via_runs = Vec::new();
+        let mut count = 0;
         s.for_each_contiguous_run_in_bounds(r.lo(), r.hi(), &mut buf, |start, len| {
             via_runs.extend(start..start + len);
+            count += 1;
         });
         let want: Vec<usize> = s.linear_region_iter(&r).collect();
         assert_eq!(via_runs, want);
-
-        // Iterator form agrees with the callback form.
-        let via_iter: Vec<usize> = s
-            .contiguous_runs(&r)
-            .flat_map(|(start, len)| start..start + len)
-            .collect();
-        assert_eq!(via_iter, want);
-        assert_eq!(s.contiguous_runs(&r).len(), 2 * 4);
+        assert_eq!(count, 2 * 4);
     }
 
     #[test]
@@ -405,7 +321,6 @@ mod tests {
             runs.push((start, len));
         });
         assert_eq!(runs, vec![(3, 5)]);
-        assert_eq!(s.contiguous_runs(&r).collect::<Vec<_>>(), vec![(3, 5)]);
     }
 
     #[test]

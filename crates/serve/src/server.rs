@@ -19,11 +19,12 @@
 //! ## Shutdown
 //!
 //! A [`Opcode::Shutdown`] request (or [`ShutdownHandle::shutdown`])
-//! flips the drain flag. The acceptor stops accepting, handlers finish
-//! the request in flight — connection reads poll with a short timeout
-//! so idle keep-alive peers cannot stall the drain — and [`Server::run`]
-//! then cuts a final checkpoint for every durable tenant and returns a
-//! [`DrainReport`].
+//! flips the drain flag and wakes the acceptor, which blocks in
+//! `accept`, with a throwaway connection. The acceptor stops accepting,
+//! handlers finish the request in flight — connection reads poll with a
+//! short timeout so idle keep-alive peers cannot stall the drain — and
+//! [`Server::run`] then cuts a final checkpoint for every durable tenant
+//! and returns a [`DrainReport`].
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -126,13 +127,10 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Flips the drain flag and pokes the acceptor awake.
+    /// Flips the drain flag and wakes the acceptor.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // The acceptor may be parked in accept(); a throwaway connection
-        // wakes it so it can observe the flag. Failure is fine — the
-        // accept loop also polls.
-        let _wake_is_best_effort = TcpStream::connect(self.addr);
+        wake_acceptor(self.addr);
     }
 
     /// Whether a drain has been requested.
@@ -222,18 +220,14 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             handles.push(std::thread::spawn(move || worker_loop(&rx, &shared)));
         }
-        // Poll accept so the loop observes the drain flag even if the
-        // wake-up connection races.
-        self.listener.set_nonblocking(true)?;
+        // Accept blocks; both drain triggers set the flag and then wake
+        // it with a throwaway connection (`wake_acceptor`).
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     if tx.send(stream).is_err() {
                         break; // all workers gone — nothing can serve
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -266,6 +260,20 @@ impl Server {
     }
 }
 
+/// Wakes an acceptor blocked in `accept` with a throwaway connection, so
+/// it sees the drain flag. A failed connect (out of descriptors, say) is
+/// retried with a growing pause; if every try fails, stderr says so, and
+/// the acceptor wakes at the next connection that reaches it.
+fn wake_acceptor(addr: SocketAddr) {
+    for pause_ms in [0, 10, 20, 40, 80] {
+        std::thread::sleep(Duration::from_millis(pause_ms));
+        if TcpStream::connect(addr).is_ok() {
+            return;
+        }
+    }
+    eprintln!("rps-serve: could not wake the acceptor at {addr}; the drain waits for a connection");
+}
+
 fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>) {
     loop {
         let next = {
@@ -290,25 +298,28 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>)
 /// long an idle connection can delay a drain.
 const READ_POLL: Duration = Duration::from_millis(50);
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
-    let mut first = [0u8; 4];
-    if !read_exact_polling(&mut stream, &mut first, shared) {
-        return;
-    }
-    if &first == b"GET " {
-        serve_metrics_scrape(&mut stream);
-        return;
-    }
-    // Not HTTP: treat the sniffed bytes as the start of a frame stream.
     let mut conn = Prefixed {
-        prefix: first.to_vec(),
+        prefix: Vec::new(),
         pos: 0,
         stream,
         shared: Arc::clone(shared),
     };
+    // The sniff polls like every frame read: a peer that stalls
+    // mid-sniff cannot hold this worker through a drain.
+    let mut first = [0u8; 4];
+    if conn.read_exact(&mut first).is_err() {
+        return;
+    }
+    if &first == b"GET " {
+        serve_metrics_scrape(&mut conn.stream);
+        return;
+    }
+    // Not HTTP: replay the sniffed bytes as the start of a frame stream.
+    conn.prefix = first.to_vec();
     loop {
         let frame = match Frame::read_from(&mut conn, shared.max_frame_bytes) {
             Ok(Ok(Some(frame))) => frame,
@@ -377,32 +388,6 @@ impl Read for Prefixed {
     }
 }
 
-fn read_exact_polling(stream: &mut TcpStream, buf: &mut [u8], shared: &Arc<Shared>) -> bool {
-    use std::io::Read;
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::WouldBlock =>
-            {
-                // Mirrors Prefixed::read's drain behavior: once a drain
-                // begins, a peer that stalls mid-sniff (even with 1-3
-                // bytes sent) must not keep this worker polling, or
-                // Server::run blocks on join forever.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
 fn serve_metrics_scrape(stream: &mut TcpStream) {
     // Drain the request line + headers before replying: closing with
     // unread bytes in the socket can RST the connection and tear the
@@ -467,8 +452,7 @@ fn route(frame: &Frame, shared: &Arc<Shared>) -> (Frame, bool) {
     match frame.opcode {
         Opcode::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor the same way ShutdownHandle does.
-            let _wake_is_best_effort = TcpStream::connect(shared.addr);
+            wake_acceptor(shared.addr);
             (Frame::admin(Opcode::Ack, wire::encode_u64(0)), false)
         }
         Opcode::CreateTenant => {
@@ -592,4 +576,21 @@ fn bad_payload(what: &str) -> Frame {
 fn reject_err(e: &ServeError) -> Frame {
     let (code, msg) = e.reject();
     reject_frame(code, &msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_server_no_client_reached_drains_on_shutdown() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let handle = server.shutdown_handle();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run()));
+        std::thread::sleep(Duration::from_millis(50)); // the acceptor blocks in `accept`
+        handle.shutdown();
+        let report = rx.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+        assert_eq!(report.workers_joined, ServerConfig::default().workers);
+    }
 }

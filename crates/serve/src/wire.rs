@@ -17,7 +17,7 @@
 
 use std::io::{Read, Write};
 
-use rps_storage::crc32;
+use rps_storage::{crc32, LeReader};
 
 /// Leading magic of every frame.
 pub const WIRE_MAGIC: [u8; 8] = *b"RPSWIRE1";
@@ -305,12 +305,8 @@ impl Frame {
         out.extend_from_slice(&WIRE_MAGIC);
         out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.opcode as u32).to_le_bytes());
-        out.extend_from_slice(&u32::try_from(t.len()).unwrap_or(u32::MAX).to_le_bytes());
-        out.extend_from_slice(
-            &u32::try_from(self.payload.len())
-                .unwrap_or(u32::MAX)
-                .to_le_bytes(),
-        );
+        push_len(&mut out, t.len());
+        push_len(&mut out, self.payload.len());
         let header_crc = crc32(&out[..HEADER_LEN - 4]);
         out.extend_from_slice(&header_crc.to_le_bytes());
         out.extend_from_slice(t);
@@ -340,20 +336,22 @@ impl Frame {
             ReadOutcome::TruncatedEof => return Ok(Err(WireError::Truncated)),
             ReadOutcome::Full => {}
         }
-        if header[0..8] != WIRE_MAGIC {
+        if header[..WIRE_MAGIC.len()] != WIRE_MAGIC {
             return Ok(Err(WireError::BadMagic));
         }
-        let crc_stored = le_u32(&header[24..28]);
+        let mut h = LeReader::new(&header[WIRE_MAGIC.len()..]);
+        let Some([version, opcode_raw, tenant_len, payload_len, crc_stored]) =
+            (|| Some([h.u32()?, h.u32()?, h.u32()?, h.u32()?, h.u32()?]))()
+        else {
+            return Ok(Err(WireError::Truncated)); // HEADER_LEN holds every field
+        };
         if crc32(&header[..HEADER_LEN - 4]) != crc_stored {
             return Ok(Err(WireError::BadHeaderCrc));
         }
-        let version = le_u32(&header[8..12]);
         if version != WIRE_VERSION {
             return Ok(Err(WireError::BadVersion(version)));
         }
-        let tenant_len = le_u32(&header[16..20]) as u64;
-        let payload_len = le_u32(&header[20..24]) as u64;
-        let body_len = tenant_len + payload_len;
+        let body_len = u64::from(tenant_len) + u64::from(payload_len);
         if body_len > u64::from(max_frame_bytes) {
             return Ok(Err(WireError::Oversized(body_len)));
         }
@@ -366,7 +364,7 @@ impl Frame {
         {
             return Ok(Err(WireError::Truncated));
         }
-        if crc32(&body) != le_u32(&trailer) {
+        if LeReader::new(&trailer).u32() != Some(crc32(&body)) {
             return Ok(Err(WireError::BadBodyCrc));
         }
         // The opcode check runs only after the CRC-verified body has
@@ -374,7 +372,6 @@ impl Frame {
         // and the connection stays usable — which is what lets
         // `RejectCode::UnknownOpcode::closes_connection()` be `false`
         // unconditionally.
-        let opcode_raw = le_u32(&header[12..16]);
         let Some(opcode) = Opcode::from_u32(opcode_raw) else {
             return Ok(Err(WireError::UnknownOpcode(opcode_raw)));
         };
@@ -419,70 +416,9 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<ReadO
     Ok(ReadOutcome::Full)
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(a)
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
-}
-
-fn le_i64(b: &[u8]) -> i64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    i64::from_le_bytes(a)
-}
-
 // ---------------------------------------------------------------------------
 // Payload codecs
 // ---------------------------------------------------------------------------
-
-/// A streaming little-endian payload reader with typed exhaustion.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(le_u32)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(le_u64)
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.take(8).map(le_i64)
-    }
-
-    fn usize_vec(&mut self, n: usize) -> Option<Vec<usize>> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(usize::try_from(self.u64()?).ok()?);
-        }
-        Some(out)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
 
 /// Per-payload dimensionality cap: a request region cannot credibly
 /// have more axes than this, and the cap bounds decode-side allocation.
@@ -492,20 +428,65 @@ const MAX_NDIM: usize = 64;
 /// lower; this bounds worst-case allocation for any accepted frame).
 const MAX_ITEMS: usize = 1 << 20;
 
-fn push_coords(out: &mut Vec<u8>, coords: &[usize]) {
-    out.extend_from_slice(
-        &u32::try_from(coords.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    for &c in coords {
-        out.extend_from_slice(&(c as u64).to_le_bytes());
+/// Writes a count or a length as the `u32` the wire stores.
+fn push_len(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+}
+
+fn push_u64s(out: &mut Vec<u8>, values: &[usize]) {
+    for &v in values {
+        out.extend_from_slice(&(v as u64).to_le_bytes());
     }
 }
 
-fn read_count(c: &mut Cursor<'_>, cap: usize) -> Option<usize> {
-    let n = usize::try_from(c.u32()?).ok()?;
+/// Writes `ndim`, then the coordinates.
+fn push_coords(out: &mut Vec<u8>, coords: &[usize]) {
+    push_len(out, coords.len());
+    push_u64s(out, coords);
+}
+
+/// Reads a `u32` count, `None` above `cap`.
+fn read_count(r: &mut LeReader<'_>, cap: usize) -> Option<usize> {
+    let n = usize::try_from(r.u32()?).ok()?;
     (n <= cap).then_some(n)
+}
+
+/// Reads what [`push_coords`] writes.
+fn read_coords(r: &mut LeReader<'_>) -> Option<Vec<usize>> {
+    let ndim = read_count(r, MAX_NDIM)?;
+    r.u64s(ndim)
+}
+
+/// Reads one `lo, hi` region: what [`encode_query`] writes.
+fn read_region(r: &mut LeReader<'_>) -> Option<(Vec<usize>, Vec<usize>)> {
+    let lo = read_coords(r)?;
+    let hi = r.u64s(lo.len())?;
+    Some((lo, hi))
+}
+
+/// Reads one `coords, delta` update: what [`encode_update`] writes.
+fn read_update(r: &mut LeReader<'_>) -> Option<(Vec<usize>, i64)> {
+    Some((read_coords(r)?, r.i64()?))
+}
+
+/// Reads a count, then that many items.
+fn read_list<T>(
+    r: &mut LeReader<'_>,
+    mut item: impl FnMut(&mut LeReader<'_>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let count = read_count(r, MAX_ITEMS)?;
+    let mut out = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        out.push(item(r)?);
+    }
+    Some(out)
+}
+
+/// Decodes a whole payload with `read`: trailing bytes reject it.
+fn whole<'a, T>(payload: &'a [u8], read: impl FnOnce(&mut LeReader<'a>) -> Option<T>) -> Option<T> {
+    let mut r = LeReader::new(payload);
+    let value = read(&mut r)?;
+    r.is_empty().then_some(value)
 }
 
 /// Encodes a [`Opcode::Query`] payload: `ndim, lo[ndim], hi[ndim]`.
@@ -513,20 +494,14 @@ fn read_count(c: &mut Cursor<'_>, cap: usize) -> Option<usize> {
 pub fn encode_query(lo: &[usize], hi: &[usize]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 16 * lo.len());
     push_coords(&mut out, lo);
-    for &c in hi {
-        out.extend_from_slice(&(c as u64).to_le_bytes());
-    }
+    push_u64s(&mut out, hi);
     out
 }
 
 /// Decodes a [`Opcode::Query`] payload into `(lo, hi)`.
 #[must_use]
 pub fn decode_query(payload: &[u8]) -> Option<(Vec<usize>, Vec<usize>)> {
-    let mut c = Cursor::new(payload);
-    let ndim = read_count(&mut c, MAX_NDIM)?;
-    let lo = c.usize_vec(ndim)?;
-    let hi = c.usize_vec(ndim)?;
-    c.done().then_some((lo, hi))
+    whole(payload, read_region)
 }
 
 /// Encodes a [`Opcode::QueryMany`] payload: `count` regions, each
@@ -534,16 +509,10 @@ pub fn decode_query(payload: &[u8]) -> Option<(Vec<usize>, Vec<usize>)> {
 #[must_use]
 pub fn encode_query_many(regions: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(
-        &u32::try_from(regions.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
+    push_len(&mut out, regions.len());
     for (lo, hi) in regions {
         push_coords(&mut out, lo);
-        for &c in hi {
-            out.extend_from_slice(&(c as u64).to_le_bytes());
-        }
+        push_u64s(&mut out, hi);
     }
     out
 }
@@ -551,16 +520,7 @@ pub fn encode_query_many(regions: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
 /// Decodes a [`Opcode::QueryMany`] payload.
 #[must_use]
 pub fn decode_query_many(payload: &[u8]) -> Option<Vec<(Vec<usize>, Vec<usize>)>> {
-    let mut c = Cursor::new(payload);
-    let count = read_count(&mut c, MAX_ITEMS)?;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let ndim = read_count(&mut c, MAX_NDIM)?;
-        let lo = c.usize_vec(ndim)?;
-        let hi = c.usize_vec(ndim)?;
-        out.push((lo, hi));
-    }
-    c.done().then_some(out)
+    whole(payload, |r| read_list(r, read_region))
 }
 
 /// Encodes an [`Opcode::Update`] payload: `ndim, coords[ndim], delta`.
@@ -575,11 +535,7 @@ pub fn encode_update(coords: &[usize], delta: i64) -> Vec<u8> {
 /// Decodes an [`Opcode::Update`] payload into `(coords, delta)`.
 #[must_use]
 pub fn decode_update(payload: &[u8]) -> Option<(Vec<usize>, i64)> {
-    let mut c = Cursor::new(payload);
-    let ndim = read_count(&mut c, MAX_NDIM)?;
-    let coords = c.usize_vec(ndim)?;
-    let delta = c.i64()?;
-    c.done().then_some((coords, delta))
+    whole(payload, read_update)
 }
 
 /// Encodes a [`Opcode::BatchUpdate`] payload: `count` updates, each
@@ -587,11 +543,7 @@ pub fn decode_update(payload: &[u8]) -> Option<(Vec<usize>, i64)> {
 #[must_use]
 pub fn encode_batch_update(updates: &[(Vec<usize>, i64)]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(
-        &u32::try_from(updates.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
+    push_len(&mut out, updates.len());
     for (coords, delta) in updates {
         push_coords(&mut out, coords);
         out.extend_from_slice(&delta.to_le_bytes());
@@ -602,16 +554,7 @@ pub fn encode_batch_update(updates: &[(Vec<usize>, i64)]) -> Vec<u8> {
 /// Decodes a [`Opcode::BatchUpdate`] payload.
 #[must_use]
 pub fn decode_batch_update(payload: &[u8]) -> Option<Vec<(Vec<usize>, i64)>> {
-    let mut c = Cursor::new(payload);
-    let count = read_count(&mut c, MAX_ITEMS)?;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let ndim = read_count(&mut c, MAX_NDIM)?;
-        let coords = c.usize_vec(ndim)?;
-        let delta = c.i64()?;
-        out.push((coords, delta));
-    }
-    c.done().then_some(out)
+    whole(payload, |r| read_list(r, read_update))
 }
 
 /// Encodes a [`Opcode::CreateTenant`] payload: `ndim, dims[ndim]`.
@@ -625,17 +568,14 @@ pub fn encode_create(dims: &[usize]) -> Vec<u8> {
 /// Decodes a [`Opcode::CreateTenant`] payload.
 #[must_use]
 pub fn decode_create(payload: &[u8]) -> Option<Vec<usize>> {
-    let mut c = Cursor::new(payload);
-    let ndim = read_count(&mut c, MAX_NDIM)?;
-    let dims = c.usize_vec(ndim)?;
-    c.done().then_some(dims)
+    whole(payload, read_coords)
 }
 
 /// Encodes an [`Opcode::Sums`] reply payload.
 #[must_use]
 pub fn encode_sums(sums: &[i64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 * sums.len());
-    out.extend_from_slice(&u32::try_from(sums.len()).unwrap_or(u32::MAX).to_le_bytes());
+    push_len(&mut out, sums.len());
     for &s in sums {
         out.extend_from_slice(&s.to_le_bytes());
     }
@@ -645,13 +585,10 @@ pub fn encode_sums(sums: &[i64]) -> Vec<u8> {
 /// Decodes an [`Opcode::Sums`] reply payload.
 #[must_use]
 pub fn decode_sums(payload: &[u8]) -> Option<Vec<i64>> {
-    let mut c = Cursor::new(payload);
-    let count = read_count(&mut c, MAX_ITEMS)?;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        out.push(c.i64()?);
-    }
-    c.done().then_some(out)
+    whole(payload, |r| {
+        let count = read_count(r, MAX_ITEMS)?;
+        r.i64s(count)
+    })
 }
 
 /// Encodes an [`Opcode::Ack`] / [`Opcode::SnapshotDone`] `u64` payload.
@@ -663,9 +600,7 @@ pub fn encode_u64(v: u64) -> Vec<u8> {
 /// Decodes an [`Opcode::Ack`] / [`Opcode::SnapshotDone`] payload.
 #[must_use]
 pub fn decode_u64(payload: &[u8]) -> Option<u64> {
-    let mut c = Cursor::new(payload);
-    let v = c.u64()?;
-    c.done().then_some(v)
+    whole(payload, LeReader::u64)
 }
 
 /// Tenant statistics carried by an [`Opcode::StatsReply`].
@@ -696,17 +631,13 @@ pub fn encode_stats(stats: &TenantStats) -> Vec<u8> {
 /// Decodes an [`Opcode::StatsReply`] payload.
 #[must_use]
 pub fn decode_stats(payload: &[u8]) -> Option<TenantStats> {
-    let mut c = Cursor::new(payload);
-    let version = c.u64()?;
-    let update_count = c.u64()?;
-    let last_checkpoint_lsn = c.u64()?;
-    let ndim = read_count(&mut c, MAX_NDIM)?;
-    let dims = c.usize_vec(ndim)?;
-    c.done().then_some(TenantStats {
-        version,
-        update_count,
-        last_checkpoint_lsn,
-        dims,
+    whole(payload, |r| {
+        Some(TenantStats {
+            version: r.u64()?,
+            update_count: r.u64()?,
+            last_checkpoint_lsn: r.u64()?,
+            dims: read_coords(r)?,
+        })
     })
 }
 
@@ -716,7 +647,7 @@ pub fn encode_error(code: RejectCode, message: &str) -> Vec<u8> {
     let m = message.as_bytes();
     let mut out = Vec::with_capacity(8 + m.len());
     out.extend_from_slice(&(code as u32).to_le_bytes());
-    out.extend_from_slice(&u32::try_from(m.len()).unwrap_or(u32::MAX).to_le_bytes());
+    push_len(&mut out, m.len());
     out.extend_from_slice(m);
     out
 }
@@ -724,11 +655,11 @@ pub fn encode_error(code: RejectCode, message: &str) -> Vec<u8> {
 /// Decodes an [`Opcode::Error`] payload into `(code, message)`.
 #[must_use]
 pub fn decode_error(payload: &[u8]) -> Option<(RejectCode, String)> {
-    let mut c = Cursor::new(payload);
-    let code = RejectCode::from_u32(c.u32()?)?;
-    let len = read_count(&mut c, MAX_ITEMS)?;
-    let msg = String::from_utf8(c.take(len)?.to_vec()).ok()?;
-    c.done().then_some((code, msg))
+    whole(payload, |r| {
+        let code = RejectCode::from_u32(r.u32()?)?;
+        let len = read_count(r, MAX_ITEMS)?;
+        Some((code, String::from_utf8(r.take(len)?.to_vec()).ok()?))
+    })
 }
 
 #[cfg(test)]

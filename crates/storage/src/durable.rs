@@ -291,31 +291,11 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             .shape()
             .check(coords)
             .map_err(StorageError::Engine)?;
-        let prev_len = self.wal.len();
-        let prev_next_lsn = self.wal.last_lsn() + 1;
-        {
-            let retry = self.retry;
-            let wal = &mut self.wal;
-            retry.run(|| wal.append(coords, delta).map(|_| ()))?;
-        }
-        if self.sync_every_append {
-            let sync_result = {
-                let retry = self.retry;
-                let wal = &mut self.wal;
-                retry.run(|| wal.sync())
-            };
-            if let Err(e) = sync_result {
-                // Leaving the record would let recovery apply an update
-                // the caller is about to see fail.
-                self.wal.rollback_last(prev_len, prev_next_lsn)?;
-                return Err(e);
-            }
-        }
-        self.engine
-            .update(coords, delta)
-            .map_err(StorageError::Engine)?;
-        self.records_since_checkpoint += 1;
-        Ok(())
+        self.log_then_apply(
+            1,
+            |wal, _| wal.append(coords, delta),
+            |engine| engine.update(coords, delta),
+        )
     }
 
     /// Logged bulk range update: one WAL record covers the whole
@@ -332,32 +312,11 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
             .shape()
             .check_region(region)
             .map_err(StorageError::Engine)?;
-        let prev_len = self.wal.len();
-        let prev_next_lsn = self.wal.last_lsn() + 1;
-        {
-            let retry = self.retry;
-            let wal = &mut self.wal;
-            retry.run(|| {
-                wal.append_range(region.lo(), region.hi(), delta)
-                    .map(|_| ())
-            })?;
-        }
-        if self.sync_every_append {
-            let sync_result = {
-                let retry = self.retry;
-                let wal = &mut self.wal;
-                retry.run(|| wal.sync())
-            };
-            if let Err(e) = sync_result {
-                self.wal.rollback_last(prev_len, prev_next_lsn)?;
-                return Err(e);
-            }
-        }
-        self.engine
-            .range_update(region, delta)
-            .map_err(StorageError::Engine)?;
-        self.records_since_checkpoint += 1;
-        Ok(())
+        self.log_then_apply(
+            1,
+            |wal, _| wal.append_range(region.lo(), region.hi(), delta),
+            |engine| engine.range_update(region, delta),
+        )
     }
 
     /// Logged atomic batch: every record is validated against the
@@ -386,38 +345,44 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
                 .check(coords)
                 .map_err(StorageError::Engine)?;
         }
+        self.log_then_apply(
+            updates.len(),
+            |wal, i| wal.append(&updates[i].0, updates[i].1),
+            // Shape-checked above, so structural application cannot fail.
+            |engine| engine.update_batch(updates),
+        )
+    }
+
+    /// The logged-write protocol of every write method: append the
+    /// `records` WAL records (record `i` by `append(wal, i)`, so a retry
+    /// re-runs the same record) under the retry policy, sync in strict
+    /// mode, then apply the write and count it.
+    ///
+    /// On a failure the records this write already appended are rolled
+    /// back in one truncation (`Wal::append` trims its own torn tail):
+    /// leaving them would let recovery apply a write the caller sees
+    /// fail.
+    fn log_then_apply(
+        &mut self,
+        records: usize,
+        mut append: impl FnMut(&mut Wal<L>, usize) -> Result<u64, StorageError>,
+        apply: impl FnOnce(&mut E) -> Result<(), ndcube::NdError>,
+    ) -> Result<(), StorageError> {
         let prev_len = self.wal.len();
         let prev_next_lsn = self.wal.last_lsn() + 1;
-        for (coords, delta) in updates {
-            let append = {
-                let retry = self.retry;
-                let wal = &mut self.wal;
-                retry.run(|| wal.append(coords, *delta).map(|_| ()))
-            };
-            if let Err(e) = append {
-                // `Wal::append` already trimmed its own torn tail;
-                // rolling back to the batch start removes the earlier
-                // records of this batch too.
-                self.wal.rollback_last(prev_len, prev_next_lsn)?;
-                return Err(e);
-            }
+        let mut logged =
+            (0..records).try_for_each(|i| self.retry.run(|| append(&mut self.wal, i)).map(drop));
+        if logged.is_ok() && self.sync_every_append {
+            logged = self.retry.run(|| self.wal.sync());
         }
-        if self.sync_every_append {
-            let sync_result = {
-                let retry = self.retry;
-                let wal = &mut self.wal;
-                retry.run(|| wal.sync())
-            };
-            if let Err(e) = sync_result {
+        if let Err(e) = logged {
+            if self.wal.len() != prev_len {
                 self.wal.rollback_last(prev_len, prev_next_lsn)?;
-                return Err(e);
             }
+            return Err(e);
         }
-        // Shape-checked above, so structural application cannot fail.
-        self.engine
-            .update_batch(updates)
-            .map_err(StorageError::Engine)?;
-        self.records_since_checkpoint += u64::try_from(updates.len()).unwrap_or(u64::MAX);
+        apply(&mut self.engine).map_err(StorageError::Engine)?;
+        self.records_since_checkpoint += u64::try_from(records).unwrap_or(u64::MAX);
         Ok(())
     }
 
@@ -498,11 +463,7 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
     /// and encodes the engine at the current LSN, and writes the
     /// artifact. Each stage has its own histogram.
     fn save_snapshot<S: SnapshotStore>(&mut self, store: &mut S) -> Result<u64, StorageError> {
-        {
-            let retry = self.retry;
-            let wal = &mut self.wal;
-            retry.run(|| wal.sync())?;
-        }
+        self.retry.run(|| self.wal.sync())?;
         let lsn = self.wal.last_lsn();
         let m = crate::obs::storage();
         let sw = rps_obs::Stopwatch::start();
@@ -512,10 +473,7 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
         };
         sw.record(&m.snapshot_encode_ns);
         let sw = rps_obs::Stopwatch::start();
-        {
-            let retry = self.retry;
-            retry.run(|| store.write(lsn, &bytes))?;
-        }
+        self.retry.run(|| store.write(lsn, &bytes))?;
         sw.record(&m.snapshot_save_ns);
         m.snapshot_saves.inc();
         m.snapshot_last_lsn.set(lsn);

@@ -44,6 +44,7 @@ mod error;
 mod fault;
 mod file_device;
 mod latency;
+mod le;
 pub mod obs;
 mod pool;
 mod snapshot;
@@ -59,6 +60,7 @@ pub use error::{to_nd_error, RetryPolicy, StorageError};
 pub use fault::{FaultPlan, FaultyStore, SimLogFile, SimLogHandle, SimRng, SimSnapshotStore};
 pub use file_device::{FileDevice, PageStore, PodCell};
 pub use latency::LatencyModel;
+pub use le::LeReader;
 pub use pool::{BufferPool, IoStats};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, peek_header, write_atomic, FsSnapshotDir, RecoveryReport,

@@ -232,7 +232,7 @@ fn register_all() {
     );
     reg.counter(
         "storage_wal_rollbacks_total",
-        "WAL records rolled back after a failed post-append sync",
+        "Logged writes whose appended WAL records were rolled back after a later append or the strict-mode sync failed",
         "ops",
         sub,
         &[],

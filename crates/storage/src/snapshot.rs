@@ -43,6 +43,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
 use crate::error::StorageError;
+use crate::le::LeReader;
 
 /// Magic bytes opening every snapshot ("RPSSNAP1").
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RPSSNAP1";
@@ -219,99 +220,67 @@ pub fn encode_snapshot(
     Ok(out)
 }
 
-fn read_u32(bytes: &[u8], off: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(
-        bytes.get(off..off + 4)?.try_into().ok()?,
-    ))
-}
-
-fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(
-        bytes.get(off..off + 8)?.try_into().ok()?,
-    ))
-}
-
 /// Verifies and decodes the header of `bytes` without touching the
 /// payload (beyond its length). Every failure is a typed check.
 pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotCheckFailed> {
+    read_header(bytes).map(|(header, _payload)| header)
+}
+
+/// [`peek_header`], also returning a reader positioned at the payload.
+fn read_header(bytes: &[u8]) -> Result<(SnapshotHeader, LeReader<'_>), SnapshotCheckFailed> {
+    use SnapshotCheckFailed::{Geometry, HeaderCrc, HeaderTruncated, Magic, Version};
     if bytes.len() < SnapshotHeader::encoded_len(1) {
-        return Err(SnapshotCheckFailed::HeaderTruncated);
+        return Err(HeaderTruncated);
     }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotCheckFailed::Magic);
+    let mut r = LeReader::new(bytes);
+    if r.take(SNAPSHOT_MAGIC.len()) != Some(&SNAPSHOT_MAGIC[..]) {
+        return Err(Magic);
     }
-    let version = read_u32(bytes, 8).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
+    let version = r.u32().ok_or(HeaderTruncated)?;
     if version != SNAPSHOT_VERSION {
-        return Err(SnapshotCheckFailed::Version);
+        return Err(Version);
     }
-    let lsn = read_u64(bytes, 12).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
-    let ndim = read_u32(bytes, 20).ok_or(SnapshotCheckFailed::HeaderTruncated)? as usize;
+    let lsn = r.u64().ok_or(HeaderTruncated)?;
+    let ndim = r.u32().ok_or(HeaderTruncated)? as usize;
     if ndim == 0 || ndim > MAX_NDIM {
-        return Err(SnapshotCheckFailed::Geometry);
+        return Err(Geometry);
     }
-    let header_len = SnapshotHeader::encoded_len(ndim);
-    if bytes.len() < header_len {
-        return Err(SnapshotCheckFailed::HeaderTruncated);
-    }
-    let stored_header_crc =
-        read_u32(bytes, header_len - 4).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
-    if crc32(&bytes[..header_len - 4]) != stored_header_crc {
-        return Err(SnapshotCheckFailed::HeaderCrc);
+    let dims: Vec<usize> = r.u32s(ndim).ok_or(HeaderTruncated)?;
+    let box_size: Vec<usize> = r.u32s(ndim).ok_or(HeaderTruncated)?;
+    let payload_crc = r.u32().ok_or(HeaderTruncated)?;
+    let covered = &bytes[..r.pos()];
+    if r.u32().ok_or(HeaderTruncated)? != crc32(covered) {
+        return Err(HeaderCrc);
     }
     // Geometry is trustworthy only now that the header CRC has passed.
-    let mut dims = Vec::with_capacity(ndim);
-    let mut box_size = Vec::with_capacity(ndim);
-    let mut cells: u64 = 1;
-    for i in 0..ndim {
-        let d = read_u32(bytes, 24 + 4 * i).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
-        if d == 0 {
-            return Err(SnapshotCheckFailed::Geometry);
-        }
-        cells = cells.saturating_mul(u64::from(d));
-        dims.push(d as usize);
+    let cells = dims
+        .iter()
+        .fold(1u64, |cells, &d| cells.saturating_mul(d as u64));
+    if dims.contains(&0) || cells > MAX_SNAPSHOT_CELLS || box_size.contains(&0) {
+        return Err(Geometry);
     }
-    if cells > MAX_SNAPSHOT_CELLS {
-        return Err(SnapshotCheckFailed::Geometry);
-    }
-    for i in 0..ndim {
-        let k =
-            read_u32(bytes, 24 + 4 * ndim + 4 * i).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
-        if k == 0 {
-            return Err(SnapshotCheckFailed::Geometry);
-        }
-        box_size.push(k as usize);
-    }
-    let payload_crc =
-        read_u32(bytes, header_len - 8).ok_or(SnapshotCheckFailed::HeaderTruncated)?;
-    Ok(SnapshotHeader {
+    let header = SnapshotHeader {
         version,
         lsn,
         dims,
         box_size,
         payload_crc,
-    })
+    };
+    Ok((header, r))
 }
 
 /// Verifies `bytes` end to end and decodes the payload cells.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Vec<i64>), SnapshotCheckFailed> {
-    let header = peek_header(bytes)?;
-    let header_len = SnapshotHeader::encoded_len(header.dims.len());
+    use SnapshotCheckFailed::{PayloadCrc, PayloadTruncated};
+    let (header, mut r) = read_header(bytes)?;
     let cells = header.cells();
-    let payload_end = header_len + cells * 8;
-    if bytes.len() < payload_end + 4 {
-        return Err(SnapshotCheckFailed::PayloadTruncated);
-    }
-    let payload = &bytes[header_len..payload_end];
-    let trailer = read_u32(bytes, payload_end).ok_or(SnapshotCheckFailed::PayloadTruncated)?;
+    let payload = r.take(cells * 8).ok_or(PayloadTruncated)?;
+    let trailer = r.u32().ok_or(PayloadTruncated)?;
     if trailer != header.payload_crc || crc32(payload) != header.payload_crc {
-        return Err(SnapshotCheckFailed::PayloadCrc);
+        return Err(PayloadCrc);
     }
-    let mut out = Vec::with_capacity(cells);
-    for chunk in payload.chunks_exact(8) {
-        // lint:allow(L2): chunks_exact(8) hands us exactly 8 bytes
-        out.push(i64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-    }
-    Ok((header, out))
+    let cells = LeReader::new(payload).i64s(cells).ok_or(PayloadTruncated)?;
+    Ok((header, cells))
 }
 
 // ---------------------------------------------------------------------------

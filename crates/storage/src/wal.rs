@@ -55,6 +55,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
 use crate::error::StorageError;
+use crate::le::LeReader;
 
 /// Magic opening every log file ("RPSWAL02").
 pub const WAL_MAGIC: [u8; 8] = *b"RPSWAL02";
@@ -138,74 +139,58 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let Some(body) = bytes.strip_prefix(&WAL_MAGIC[..]) else {
         return (records, 0);
     };
-    let mut pos = 0usize;
-    loop {
-        let rest = &body[pos..];
-        if rest.len() < 12 {
-            break;
-        }
-        // lint:allow(L2): length checked ≥ 12 just above
-        let lsn = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-        // lint:allow(L2): length checked ≥ 12 just above
-        let ndim_word = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes"));
-        let is_range = ndim_word & RANGE_FLAG != 0;
-        let ndim = (ndim_word & !RANGE_FLAG) as usize;
-        if ndim == 0 || ndim > MAX_NDIM {
-            break; // corrupt header: treat as torn tail
-        }
-        let sides = if is_range { 2 } else { 1 };
-        let coord_bytes = sides * ndim * 4;
-        let rec_len = 8 + 4 + coord_bytes + 8 + 4;
-        if rest.len() < rec_len {
-            break;
-        }
-        let framed = &rest[..rec_len - 4];
-        // lint:allow(L2): rec_len bounds checked just above
-        let crc = u32::from_le_bytes(rest[rec_len - 4..rec_len].try_into().expect("4 bytes"));
-        if crc32(framed) != crc {
-            break;
-        }
-        // LSNs must be strictly increasing; a regression means the
-        // bytes are stale garbage after an unsynced truncation.
-        if let Some(last) = records.last() {
-            if lsn <= last.lsn {
-                break;
-            }
-        }
-        let decode_corner = |bytes: &[u8]| -> Vec<usize> {
-            bytes
-                .chunks_exact(4)
-                // lint:allow(L2): chunks_exact(4) hands us exactly 4 bytes
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")) as usize)
-                .collect()
-        };
-        let coords = decode_corner(&rest[12..12 + ndim * 4]);
-        let hi = if is_range {
-            let hi = decode_corner(&rest[12 + ndim * 4..12 + coord_bytes]);
-            // An inverted box would panic Region construction at replay;
-            // treat it like any other corrupt header.
-            if coords.iter().zip(&hi).any(|(l, h)| l > h) {
-                break;
-            }
-            Some(hi)
-        } else {
-            None
-        };
-        let delta = i64::from_le_bytes(
-            rest[12 + coord_bytes..12 + coord_bytes + 8]
-                .try_into()
-                // lint:allow(L2): rec_len bounds checked just above
-                .expect("8 bytes"),
-        );
-        records.push(WalRecord {
-            lsn,
-            coords,
-            hi,
-            delta,
-        });
-        pos += rec_len;
+    let mut r = LeReader::new(body);
+    while let Some(rec) = next_record(&mut r, records.last().map(|last| last.lsn)) {
+        records.push(rec);
     }
-    (records, file_len(pos as u64))
+    (records, file_len(r.pos() as u64))
+}
+
+/// Decodes the record at `r`, or `None` when it is torn or corrupt, or
+/// does not follow `prev_lsn`: the end of the intact log. Consumes the
+/// record only when it decodes.
+fn next_record(r: &mut LeReader<'_>, prev_lsn: Option<u64>) -> Option<WalRecord> {
+    // Two cursors over the record: `fields` reads it field by field,
+    // `framed` takes the CRC-covered bytes and the CRC behind them.
+    let mut fields = r.clone();
+    let lsn = fields.u64()?;
+    let ndim_word = fields.u32()?;
+    let is_range = ndim_word & RANGE_FLAG != 0;
+    let ndim = (ndim_word & !RANGE_FLAG) as usize;
+    if ndim == 0 || ndim > MAX_NDIM {
+        return None; // corrupt header: treat as torn tail
+    }
+    let sides = if is_range { 2 } else { 1 };
+    let mut framed = r.clone();
+    let covered = framed.take(8 + 4 + sides * ndim * 4 + 8)?;
+    if framed.u32()? != crc32(covered) {
+        return None;
+    }
+    // LSNs must be strictly increasing; a regression means the bytes are
+    // stale garbage after an unsynced truncation.
+    if prev_lsn.is_some_and(|last| lsn <= last) {
+        return None;
+    }
+    let coords: Vec<usize> = fields.u32s(ndim)?;
+    let hi = if is_range {
+        let hi: Vec<usize> = fields.u32s(ndim)?;
+        // An inverted box would panic Region construction at replay;
+        // treat it like any other corrupt header.
+        if coords.iter().zip(&hi).any(|(l, h)| l > h) {
+            return None;
+        }
+        Some(hi)
+    } else {
+        None
+    };
+    let delta = fields.i64()?;
+    *r = framed;
+    Some(WalRecord {
+        lsn,
+        coords,
+        hi,
+        delta,
+    })
 }
 
 /// [`decode_records`] behind the magic check: a log image that is not an
@@ -509,10 +494,10 @@ impl<L: LogFile> Wal<L> {
         }
     }
 
-    /// Rolls back the most recent successful append (used when a
-    /// required post-append sync fails: leaving the record in the log
-    /// would let recovery apply an update the caller saw fail).
-    /// `prev_len` is a [`Self::len`] taken before the append.
+    /// Rolls back every record appended since [`Self::len`] read
+    /// `prev_len` (used when a later append of the same write or a
+    /// required post-append sync fails: leaving the records in the log
+    /// would let recovery apply a write the caller saw fail).
     pub fn rollback_last(&mut self, prev_len: u64, prev_next_lsn: u64) -> Result<(), StorageError> {
         crate::obs::storage().wal_rollbacks.inc();
         if self.log.truncate(file_len(prev_len)).is_err() {

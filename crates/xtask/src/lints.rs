@@ -994,9 +994,7 @@ pub const EXPECT_MESSAGE_ALLOWLIST: &[&str] = &[
     "block intersects the region by construction",
     // rps-core concurrency: lock-poisoning policy (fail fast).
     "engine lock poisoned",
-    // storage: fixed-width codec slices cut to the checked width.
-    "8 bytes",
-    "4 bytes",
+    // storage: `PodCell` page cells cut to the checked width.
     "width checked",
     "page count fits u32",
     // workload: generator-internal invariants ("valid dims" shared with
